@@ -7,7 +7,9 @@
 #   scripts/check.sh [extra ctest args...]
 #
 # Optionally set DSI_CHECK_TSAN=1 to add a ThreadSanitizer pass over
-# the concurrency-sensitive suites (slower; chaos + parallel + MPMC).
+# the concurrency-sensitive suites (slower; chaos + parallel + MPMC),
+# and DSI_CHECK_UBSAN=1 to add an UndefinedBehaviorSanitizer pass over
+# every suite (any report aborts its test).
 
 set -euo pipefail
 
@@ -38,6 +40,11 @@ run_pass build-asan address "$@"
 if [[ "${DSI_CHECK_TSAN:-0}" == "1" ]]; then
     run_pass build-tsan thread \
         -R '(common_concurrency|common_overload|common_trace|dpp_chaos|dpp_parallel|dpp_overload|dpp_trace|dpp_recovery|sched_fleet|storage_heal|dedup_differential)_test' "$@"
+fi
+
+# Optional pass 4: UBSan over every suite.
+if [[ "${DSI_CHECK_UBSAN:-0}" == "1" ]]; then
+    run_pass build-ubsan undefined "$@"
 fi
 
 # Bench smoke: --quick perf_suite and dedup_bench runs plus schema

@@ -693,45 +693,6 @@ Master::recoverFromJournal()
     return ok;
 }
 
-void
-Master::checkpointToStorage(storage::TectonicCluster &cluster,
-                            const std::string &name) const
-{
-    cluster.put(name, checkpoint().serialize());
-}
-
-bool
-Master::restoreFromStorage(const storage::TectonicCluster &cluster,
-                           const std::string &name)
-{
-    // A missing, unreadable, or corrupt checkpoint is a recoverable
-    // condition: the replica cold-starts from the full enumeration
-    // (re-processing completed splits is wasteful but correct).
-    if (!cluster.exists(name)) {
-        dsi_warn("checkpoint '%s' not found; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    auto source = cluster.open(name);
-    dwrf::Buffer bytes;
-    if (source->readChecked(0, source->size(), bytes) !=
-        dwrf::IoStatus::Ok) {
-        dsi_warn("checkpoint '%s' unreadable; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    auto cp = MasterCheckpoint::deserialize(bytes);
-    if (!cp.has_value()) {
-        dsi_warn("checkpoint '%s' is corrupt; cold-starting",
-                 name.c_str());
-        metrics_.inc("master.checkpoint_restore_failed");
-        return false;
-    }
-    return restore(*cp);
-}
-
 bool
 Master::restore(const MasterCheckpoint &checkpoint)
 {

@@ -366,22 +366,6 @@ class Master : public WorkSource
     MasterCheckpoint checkpoint() const;
 
     /**
-     * Persist the checkpoint durably as a Tectonic file (production
-     * masters checkpoint periodically so a replica can take over).
-     */
-    void checkpointToStorage(storage::TectonicCluster &cluster,
-                             const std::string &name) const;
-
-    /**
-     * Restore from a checkpoint file. False (with
-     * master.checkpoint_restore_failed counted) when the file is
-     * missing, unreadable, or corrupt — the caller cold-starts from
-     * the full split enumeration instead of aborting.
-     */
-    bool restoreFromStorage(const storage::TectonicCluster &cluster,
-                            const std::string &name);
-
-    /**
      * Restore from a checkpoint: completed splits stay completed,
      * everything else (including previously in-flight) is re-pending.
      * Models both Master fail-over and replicated-Master catch-up.

@@ -173,133 +173,280 @@ injectFeature(dwrf::RowBatch &batch, const warehouse::FeatureSpec &f,
 
 } // namespace
 
-bool
-Worker::extractStripe(dwrf::FileReader &reader, TenantId tenant,
-                      uint32_t stripe_index, dwrf::RowBatch &out,
-                      Metrics &metrics,
-                      dwrf::ReadStatus *status_out) const
+dwrf::ReadStatus
+Worker::extractStripe(HeldSplit &held, uint32_t stripe_index,
+                      dwrf::RowBatch &out) const
 {
-    const SessionSpec &spec = control_.tenantSpec(tenant);
-    dwrf::ReadStatus status = reader.readStripe(stripe_index, out);
-    if (status_out != nullptr)
-        *status_out = status;
+    dwrf::ReadStatus status = held.reader->readStripe(stripe_index, out);
+    if (status != dwrf::ReadStatus::Ok)
+        return status;
+    held.metrics.inc("worker.rows_extracted", out.rows);
+
+    // --- Inject beta features (dynamic join, Section IV-C) ---
+    const SessionSpec &spec = control_.tenantSpec(held.tenant);
+    RowId first_row = held.reader->footer().stripes[stripe_index].first_row;
+    for (const auto &f : spec.injected) {
+        injectFeature(out, f, first_row);
+        held.metrics.inc("worker.features_injected");
+    }
+    return status;
+}
+
+void
+Worker::transformStripe(ExtractedStripe &work, GraphCache &graphs)
+{
+    auto &graph = graphs[work.tenant];
+    if (!graph) {
+        graph = std::make_unique<transforms::CompiledGraph>(
+            programFor(work.tenant));
+    }
+    const SessionSpec &spec = control_.tenantSpec(work.tenant);
+    const SplitKey key{work.tenant, work.split_id};
+    const dwrf::RowBatch &stripe = *work.rows;
+    transforms::TransformStats stats;
+    Metrics metrics;
+    bool whole = true;
+    {
+        // One transform span covers the whole stripe; buffer waits
+        // inside it get their own Complete spans so stall attribution
+        // can credit them to the delivery stage instead of transform
+        // compute.
+        trace::Span span(trace::spans::kTransformStripe, work.trace,
+                         work.split_id, work.first_row);
+        // Batch dedup is gated on the graph being row-local (every
+        // Table XI op except Sampling): only then is transform-once-
+        // per-unique-row byte-identical to transforming the full batch.
+        const bool dedup_row_local =
+            options_.dedup_enabled && transforms::rowLocal(*graph);
+        // Transform + partial load, one mini-batch at a time
+        // (transforms are localized to each mini-batch).
+        for (uint32_t start = 0; start < stripe.rows;
+             start += spec.batch_size) {
+            if (stop_requested_ || crashed_) {
+                whole = false;
+                break;
+            }
+            dwrf::RowBatch batch =
+                dwrf::sliceBatch(stripe, start, spec.batch_size);
+            if (options_.dedup_enabled && !dedup_row_local)
+                metrics.inc("worker.dedup_bypassed_batches");
+            if (dedup_row_local) {
+                trace::Span dspan(trace::spans::kWorkerDedup, span.id(),
+                                  work.split_id, batch.rows);
+                transforms::BatchDedupPlan plan =
+                    transforms::planBatchDedup(batch);
+                metrics.inc("worker.dedup_rows_in",
+                            static_cast<double>(batch.rows));
+                metrics.inc(
+                    "worker.dedup_rows_unique",
+                    static_cast<double>(plan.unique_rows.size()));
+                if (plan.collapsed()) {
+                    metrics.inc("worker.dedup_batches_collapsed");
+                    // Transform the unique rows only; expansion
+                    // restores every duplicate row with its own label.
+                    std::vector<float> labels = std::move(batch.labels);
+                    dwrf::RowBatch unique =
+                        transforms::gatherRows(batch, plan.unique_rows);
+                    stats.merge(graph->apply(unique));
+                    batch = labels.empty()
+                        ? transforms::gatherRows(unique, plan.inverse)
+                        : transforms::expandBatch(unique, plan, labels);
+                } else {
+                    stats.merge(graph->apply(batch));
+                }
+            } else {
+                stats.merge(graph->apply(batch));
+            }
+
+            TensorBatch tensor;
+            tensor.bytes = batch.payloadBytes();
+            tensor.data = std::move(batch);
+            tensor.tenant = work.tenant;
+            tensor.split_id = work.split_id;
+            tensor.first_row = work.first_row + start;
+            tensor.stripe = work.stripe;
+            tensor.last_in_stripe = start + spec.batch_size >= stripe.rows;
+            tensor.epoch = work.epoch;
+            tensor.trace = span.id();
+            metrics.inc("worker.tensor_bytes",
+                        static_cast<double>(tensor.bytes));
+            metrics.inc("worker.tensors");
+            // Count the tensor against the split *before* it becomes
+            // visible in the buffer, so a concurrent pop can never
+            // observe a delivery the tracker has not heard of.
+            noteTensorEnqueued(key, work.epoch);
+            if (!pushTensor(std::move(tensor), span.id())) {
+                // Stopped/crashed while waiting for buffer space; the
+                // tensor never entered the buffer.
+                noteTensorUnqueued(key, work.epoch);
+                whole = false;
+                break;
+            }
+        }
+    }
+    // The stripe's columns are no longer needed (mini-batches own
+    // copies); recycle the batch so the next extract reuses its heap
+    // capacity.
+    stripe_pool_.release(std::move(work.rows));
+    // Fold before the stripe counts toward its split, so the totals
+    // land no later than the split's terminal state.
+    {
+        std::scoped_lock lock(stats_mutex_);
+        transform_stats_.merge(stats);
+    }
+    metrics_.merge(metrics);
+    if (whole)
+        noteStripeTransformed(key, work.epoch);
+}
+
+// ---------------------------------------------------------------------
+// The split lifecycle (both modes).
+
+Worker::Acquired
+Worker::acquire(std::optional<HeldSplit> &held)
+{
+    WorkerLoad load;
+    load.buffered_tensors = buffered();
+    load.buffer_full = bufferFull();
+    SplitGrant grant = control_.acquireSplit(id_, load);
+    switch (grant.status) {
+    case GrantStatus::Granted:
+        break;
+    case GrantStatus::Overloaded:
+        metrics_.inc("worker.requests_shed");
+        return Acquired::Retry;
+    case GrantStatus::Standby:
+        // The source has tenants coming or splits in flight elsewhere,
+        // just nothing for us *now*. Stay alive and re-poll — this is
+        // not overload, so no shed count.
+        metrics_.inc("worker.standby_polls");
+        return Acquired::Retry;
+    default:
+        return Acquired::NoWork; // NoWork (idle out) or Rejected (zombie)
+    }
+    held.emplace();
+    held->split = *grant.split;
+    held->tenant = grant.tenant;
+    held->deadline = grant.deadline;
+    held->trace = grant.trace;
+    return Acquired::Split;
+}
+
+Worker::SplitEnd
+Worker::open(HeldSplit &held)
+{
+    const Split &split = held.split;
+    // A resumed grant skips stripes already delivered to trainers in
+    // a previous attempt; this attempt owes only the tail.
+    held.next_stripe = split.resume_stripe;
+    if (split.resume_stripe > 0)
+        held.metrics.inc("worker.splits_resumed");
+    held.epoch = beginSplit(held.key(),
+                            split.stripe_count - split.resume_stripe);
+    held.source = warehouse_.cluster().open(split.file);
+    const SessionSpec &spec = control_.tenantSpec(held.tenant);
+    dwrf::ReadOptions read = spec.read;
+    read.projection = spec.projection;
+    read.verify_checksums = options_.verify_checksums;
+    // The open reads (file tail + footer) happen outside any stripe
+    // span; parent them on the grant so they keep lineage.
+    trace::ScopedParent open_ambient(held.trace);
+    held.reader = std::make_unique<dwrf::FileReader>(*held.source, read);
+    if (!held.reader->valid()) {
+        dsi_warn("worker %u: unreadable file '%s'", id_,
+                 split.file.c_str());
+        return SplitEnd::Abandoned;
+    }
+    held.reader->setDeadline(held.deadline);
+    return SplitEnd::Producing;
+}
+
+Worker::SplitEnd
+Worker::extractNext(HeldSplit &held, ExtractedStripe &out)
+{
+    // Also covers a fully-delivered resume (every stripe reached
+    // trainers before the previous attempt died): nothing to read.
+    if (held.exhausted())
+        return SplitEnd::Finished;
+    if (stop_requested_ || crashed_)
+        return SplitEnd::Aborted;
+    // Per-stripe crash point, checked while a split is held, so an
+    // injected crash always leaves an in-flight split for lease
+    // recovery to replay.
+    if (faultPoint(faults::kWorkerCrash)) {
+        crash();
+        return SplitEnd::Aborted;
+    }
+    if (handback_) {
+        // Preempted: a higher-priority tenant needs this worker's
+        // capacity. Hand the split back at the stripe boundary
+        // (requeued, no attempt penalty).
+        held.metrics.inc("worker.splits_preempted");
+        return SplitEnd::Released;
+    }
+    control_.heartbeat(id_); // per-stripe lease renewal
+    if (held.deadline.expired()) {
+        held.metrics.inc("worker.deadline_expired");
+        return SplitEnd::Released;
+    }
+    uint32_t stripe_index = held.split.first_stripe + held.next_stripe;
+    auto rows = stripe_pool_.acquire();
+    dwrf::ReadStatus status;
+    {
+        // The extract span closes before any terminal control-plane
+        // call or queue push, keeping per-thread span nesting strictly
+        // LIFO (the Chrome exporter relies on it).
+        trace::Span espan(trace::spans::kExtractStripe, held.trace,
+                          held.split.id, stripe_index);
+        trace::ScopedParent ambient(espan.id());
+        status = extractStripe(held, stripe_index, *rows);
+    }
     if (status == dwrf::ReadStatus::DeadlineExpired) {
-        // The read budget ran out: nothing is wrong with the data.
-        // The caller releases the split so a fresh grant (elsewhere,
-        // with a fresh budget) can finish it.
-        return false;
+        // The read budget ran out: nothing is wrong with the data. A
+        // fresh grant (elsewhere, with a fresh budget) can finish it.
+        stripe_pool_.release(std::move(rows));
+        held.metrics.inc("worker.deadline_expired");
+        return SplitEnd::Released;
     }
     if (status != dwrf::ReadStatus::Ok) {
         // Reader-level retries (replica rotation) already ran; this
-        // stripe is unreadable from here. The caller abandons the
-        // split so the Master can retry it elsewhere or fail it.
-        metrics.inc("worker.stripe_read_failures");
-        return false;
+        // stripe is unreadable from here. The Master retries the
+        // split elsewhere or fails it.
+        stripe_pool_.release(std::move(rows));
+        held.metrics.inc("worker.stripe_read_failures");
+        return SplitEnd::Abandoned;
     }
-    metrics.inc("worker.rows_extracted", out.rows);
-
-    // --- Inject beta features (dynamic join, Section IV-C) ---
-    if (!spec.injected.empty()) {
-        RowId first_row =
-            reader.footer().stripes[stripe_index].first_row;
-        for (const auto &f : spec.injected) {
-            injectFeature(out, f, first_row);
-            metrics.inc("worker.features_injected");
-        }
-    }
-    return true;
+    out.rows = std::move(rows);
+    out.tenant = held.tenant;
+    out.split_id = held.split.id;
+    out.first_row = held.reader->footer().stripes[stripe_index].first_row;
+    out.stripe = held.next_stripe++;
+    out.epoch = held.epoch;
+    out.trace = held.trace;
+    return SplitEnd::Producing;
 }
 
-bool
-Worker::transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
-                        uint64_t split_id, uint64_t epoch,
-                        RowId first_row, uint32_t stripe_index,
-                        transforms::CompiledGraph &graph,
-                        transforms::TransformStats &stats,
-                        Metrics &metrics, bool blocking,
-                        trace::SpanId grant_span)
+void
+Worker::close(HeldSplit &held, SplitEnd end)
 {
-    const SessionSpec &spec = control_.tenantSpec(tenant);
-    // One transform span covers the whole stripe; buffer waits inside
-    // it get their own Complete spans so stall attribution can credit
-    // them to the delivery stage instead of transform compute.
-    trace::Span span(trace::spans::kTransformStripe, grant_span,
-                     split_id, first_row);
-    // Batch dedup is gated on the graph being row-local (every Table
-    // XI op except Sampling): only then is transform-once-per-unique-
-    // row byte-identical to transforming the full batch.
-    const bool dedup_row_local =
-        options_.dedup_enabled && transforms::rowLocal(graph);
-    // Transform + partial load, one mini-batch at a time (transforms
-    // are localized to each mini-batch).
-    for (uint32_t start = 0; start < stripe.rows;
-         start += spec.batch_size) {
-        if (blocking && (stop_requested_ || crashed_))
-            return false;
-        dwrf::RowBatch batch =
-            dwrf::sliceBatch(stripe, start, spec.batch_size);
-        if (options_.dedup_enabled && !dedup_row_local)
-            metrics.inc("worker.dedup_bypassed_batches");
-        if (dedup_row_local) {
-            trace::Span dspan(trace::spans::kWorkerDedup, span.id(),
-                              split_id, batch.rows);
-            transforms::BatchDedupPlan plan =
-                transforms::planBatchDedup(batch);
-            metrics.inc("worker.dedup_rows_in",
-                        static_cast<double>(batch.rows));
-            metrics.inc(
-                "worker.dedup_rows_unique",
-                static_cast<double>(plan.unique_rows.size()));
-            if (plan.collapsed()) {
-                metrics.inc("worker.dedup_batches_collapsed");
-                // Transform the unique rows only; expansion restores
-                // every duplicate row with its own label.
-                std::vector<float> labels = std::move(batch.labels);
-                dwrf::RowBatch unique =
-                    transforms::gatherRows(batch, plan.unique_rows);
-                stats.merge(graph.apply(unique));
-                batch = labels.empty()
-                    ? transforms::gatherRows(unique, plan.inverse)
-                    : transforms::expandBatch(unique, plan, labels);
-            } else {
-                stats.merge(graph.apply(batch));
-            }
-        } else {
-            stats.merge(graph.apply(batch));
-        }
-
-        TensorBatch tensor;
-        tensor.bytes = batch.payloadBytes();
-        tensor.data = std::move(batch);
-        tensor.tenant = tenant;
-        tensor.split_id = split_id;
-        tensor.first_row = first_row + start;
-        tensor.stripe = stripe_index;
-        tensor.last_in_stripe = start + spec.batch_size >= stripe.rows;
-        tensor.epoch = epoch;
-        tensor.trace = span.id();
-        metrics.inc("worker.tensor_bytes",
-                    static_cast<double>(tensor.bytes));
-        metrics.inc("worker.tensors");
-        // Count the tensor against the split *before* it becomes
-        // visible in the buffer, so a concurrent pop can never
-        // observe a delivery the tracker has not heard of.
-        noteTensorEnqueued({tenant, split_id}, epoch);
-        if (blocking) {
-            trace::Timer wait;
-            if (!pushTensorBlocking(std::move(tensor))) {
-                // Stopped/crashed while waiting for buffer space; the
-                // tensor never entered the buffer.
-                noteTensorUnqueued({tenant, split_id}, epoch);
-                return false;
-            }
-            wait.complete(trace::spans::kBufferWait, span.id(),
-                          split_id);
-        } else {
-            enqueueTensor(std::move(tensor));
-        }
+    if (held.reader)
+        mergeReadStats(held.reader->stats());
+    metrics_.merge(held.metrics);
+    switch (end) {
+    case SplitEnd::Finished:
+        // Completion is delivery-gated: the Master hears completeSplit
+        // once the last buffered tensor of this split is popped.
+        finishExtraction(held.key(), held.epoch);
+        break;
+    case SplitEnd::Released:
+        returnSplit(held.key());
+        break;
+    case SplitEnd::Abandoned:
+        abandonSplit(held.key());
+        break;
+    default:
+        break; // Aborted: in flight until the Master requeues it
     }
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -315,145 +462,36 @@ Worker::extractLoop()
         BackoffOptions{.base_us = 200, .cap_us = 2000},
         0xb0ffULL + id_);
     while (!stop_requested_ && !crashed_ && !draining_) {
-        WorkerLoad load;
-        load.buffered_tensors = buffered();
-        load.buffer_full = bufferFull();
-        SplitGrant grant = control_.acquireSplit(id_, load);
-        if (grant.status == GrantStatus::Overloaded) {
-            metrics_.inc("worker.requests_shed");
+        std::optional<HeldSplit> held;
+        Acquired got = acquire(held);
+        if (got == Acquired::NoWork)
+            break;
+        if (got == Acquired::Retry) {
             shed_backoff.sleep(Deadline::unbounded());
             continue;
         }
-        if (grant.status == GrantStatus::Standby) {
-            // The source has tenants coming or splits in flight
-            // elsewhere, just nothing for us *now*. Stay alive and
-            // re-poll — this is not overload, so no shed count.
-            metrics_.inc("worker.standby_polls");
-            shed_backoff.sleep(Deadline::unbounded());
-            continue;
-        }
-        if (grant.status != GrantStatus::Granted)
-            break; // NoWork (idle out) or Rejected (zombie)
         shed_backoff.reset();
-        const TenantId tenant = grant.tenant;
-        const SessionSpec &spec = control_.tenantSpec(tenant);
-        const Split &split = *grant.split;
-        SplitKey key{tenant, split.id};
-        // A resumed grant skips stripes already delivered to trainers
-        // in a previous attempt; this attempt owes only the tail.
-        if (split.resume_stripe > 0)
-            metrics_.inc("worker.splits_resumed");
-        uint64_t epoch = beginSplit(
-            key, split.stripe_count - split.resume_stripe);
-        auto source = warehouse_.cluster().open(split.file);
-        dwrf::ReadOptions read = spec.read;
-        read.projection = spec.projection;
-        read.verify_checksums = options_.verify_checksums;
-        // The open reads (file tail + footer) happen outside any
-        // stripe span; parent them on the grant so they keep lineage.
-        trace::ScopedParent open_ambient(grant.trace);
-        dwrf::FileReader reader(*source, read);
-        if (!reader.valid()) {
-            dsi_warn("worker %u: unreadable file '%s'", id_,
-                     split.file.c_str());
-            abandonSplit(key);
-            continue;
-        }
-        reader.setDeadline(grant.deadline);
-
-        // Per-thread metric accumulation, folded in once per split.
-        Metrics local;
-        bool aborted = false;
-        bool abandoned = false;
-        bool released = false;
-        for (uint32_t s = split.resume_stripe; s < split.stripe_count;
-             ++s) {
-            if (stop_requested_ || crashed_) {
-                aborted = true;
-                break;
-            }
-            if (faultPoint(faults::kWorkerCrash)) {
-                crash();
-                aborted = true;
-                break;
-            }
-            if (handback_) {
-                // Preempted: a higher-priority tenant needs this
-                // worker's capacity. Hand the split back at the
-                // stripe boundary (requeued, no attempt penalty).
-                local.inc("worker.splits_preempted");
-                released = true;
-                break;
-            }
-            control_.heartbeat(id_); // per-stripe lease renewal
-            if (grant.deadline.expired()) {
-                local.inc("worker.deadline_expired");
-                released = true;
-                break;
-            }
-            uint32_t stripe_index = split.first_stripe + s;
-            dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
-            auto rows = stripe_pool_.acquire();
-            bool ok;
-            {
-                // The extract span closes before any terminal Master
-                // call or queue push, keeping per-thread span nesting
-                // strictly LIFO (the Chrome exporter relies on it).
-                trace::Span espan(trace::spans::kExtractStripe,
-                                  grant.trace, split.id, stripe_index);
-                trace::ScopedParent ambient(espan.id());
-                ok = extractStripe(reader, tenant, stripe_index, *rows,
-                                   local, &status);
-            }
-            if (!ok) {
-                stripe_pool_.release(std::move(rows));
-                if (status == dwrf::ReadStatus::DeadlineExpired) {
-                    local.inc("worker.deadline_expired");
-                    released = true;
-                } else {
-                    abandoned = true;
-                }
-                break;
-            }
-            ExtractedStripe work;
-            work.tenant = tenant;
-            work.split_id = split.id;
-            work.first_row =
-                reader.footer().stripes[stripe_index].first_row;
-            work.stripe = s;
-            work.epoch = epoch;
-            work.trace = grant.trace;
-            work.rows = std::move(rows);
+        SplitEnd end = open(*held);
+        ExtractedStripe work;
+        while (end == SplitEnd::Producing &&
+               (end = extractNext(*held, work)) == SplitEnd::Producing) {
             // Backpressure observes the split budget: a stalled
             // transform stage must not pin an expired split forever.
+            uint32_t stripe_index = held->split.first_stripe + work.stripe;
             trace::Timer wait;
-            if (!stripe_queue_->push(std::move(work),
-                                     grant.deadline)) {
-                if (stripe_queue_->closed()) {
-                    aborted = true; // shutting down
-                } else {
-                    local.inc("worker.deadline_expired");
-                    released = true;
-                }
-                break;
+            if (stripe_queue_->push(std::move(work), held->deadline)) {
+                wait.complete(trace::spans::kQueuePushWait, held->trace,
+                              held->split.id, stripe_index);
+            } else if (stripe_queue_->closed()) {
+                end = SplitEnd::Aborted; // shutting down
+            } else {
+                held->metrics.inc("worker.deadline_expired");
+                end = SplitEnd::Released;
             }
-            wait.complete(trace::spans::kQueuePushWait, grant.trace,
-                          split.id, stripe_index);
         }
-        mergeReadStats(reader.stats());
-        metrics_.merge(local);
-        if (aborted)
-            break; // split stays in flight; the Master requeues it
-        if (released) {
-            returnSplit(key);
-            continue;
-        }
-        if (abandoned) {
-            abandonSplit(key);
-            continue;
-        }
-        // Extraction done; completion waits for the last delivery.
-        finishExtraction(key, epoch);
+        close(*held, end);
+        if (end == SplitEnd::Aborted)
+            break; // the split stays in flight; the Master requeues it
     }
     // Last extractor out ends the stripe stream so transformers can
     // drain and quiesce.
@@ -464,43 +502,14 @@ Worker::extractLoop()
 void
 Worker::transformLoop()
 {
-    // Per-thread, per-tenant compiled programs and per-thread stat
-    // accumulators; totals are folded in once on exit (drain) rather
-    // than per mini-batch. Compiled ops hold per-instance state (e.g.
-    // the Sampling counter), so instances are never shared across
-    // threads — each thread compiles its own copy per tenant.
-    std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
-        graphs;
-    transforms::TransformStats stats;
-    Metrics local;
+    GraphCache graphs;
     while (auto work = stripe_queue_->pop()) {
         if (crashed_)
             break;
-        auto &graph = graphs[work->tenant];
-        if (!graph) {
-            graph = std::make_unique<transforms::CompiledGraph>(
-                programFor(work->tenant));
-        }
-        bool whole = transformStripe(*work->rows, work->tenant,
-                                     work->split_id, work->epoch,
-                                     work->first_row, work->stripe,
-                                     *graph, stats, local,
-                                     /*blocking=*/true, work->trace);
-        // The stripe's columns are no longer needed (mini-batches own
-        // copies); recycle the batch so the next extract reuses its
-        // heap capacity.
-        stripe_pool_.release(std::move(work->rows));
-        if (whole)
-            noteStripeTransformed({work->tenant, work->split_id},
-                                  work->epoch);
+        transformStripe(*work, graphs);
         if (stop_requested_ || crashed_)
             break;
     }
-    {
-        std::scoped_lock lock(stats_mutex_);
-        transform_stats_.merge(stats);
-    }
-    metrics_.merge(local);
     publishPoolMetrics();
     // Last transformer out marks production finished: drained() can
     // only become true after every pipeline thread has quiesced.
@@ -521,7 +530,9 @@ Worker::pump()
                id_);
     if (crashed_)
         return false;
-    control_.heartbeat(id_); // per-pump lease renewal
+    // Per-pump lease renewal: backpressured and idle calls read no
+    // stripe, so extractNext's per-stripe heartbeat does not cover them.
+    control_.heartbeat(id_);
     {
         std::scoped_lock lock(buffer_mutex_);
         if (no_more_work_)
@@ -529,175 +540,32 @@ Worker::pump()
         if (bufferFullLocked())
             return true; // backpressure: trainers are behind
     }
-    if (current_ && handback_) {
-        // Preempted mid-split: hand it back at the stripe boundary.
-        metrics_.inc("worker.splits_preempted");
-        releaseCurrentSplit();
-        return true;
-    }
-    if (!current_) {
-        if (draining_) {
+    SplitEnd end = SplitEnd::Producing;
+    if (!pump_split_) {
+        Acquired got =
+            draining_ ? Acquired::NoWork : acquire(pump_split_);
+        if (got == Acquired::Retry)
+            return true; // shed or standby: ask again next pump
+        if (got == Acquired::NoWork) {
             std::scoped_lock lock(buffer_mutex_);
             no_more_work_ = true;
             return false;
         }
-        WorkerLoad load;
-        load.buffered_tensors = buffered();
-        load.buffer_full = bufferFull();
-        SplitGrant grant = control_.acquireSplit(id_, load);
-        if (grant.status == GrantStatus::Overloaded) {
-            metrics_.inc("worker.requests_shed");
-            return true; // shed; ask again next pump
+        end = open(*pump_split_);
+    }
+    if (end == SplitEnd::Producing) {
+        ExtractedStripe work;
+        end = extractNext(*pump_split_, work);
+        if (end == SplitEnd::Producing) {
+            transformStripe(work, pump_graphs_);
+            if (!pump_split_->exhausted())
+                return true;
+            end = SplitEnd::Finished;
         }
-        if (grant.status == GrantStatus::Standby) {
-            // Between arrivals: stay alive, ask again next pump.
-            metrics_.inc("worker.standby_polls");
-            return true;
-        }
-        if (grant.status != GrantStatus::Granted) {
-            std::scoped_lock lock(buffer_mutex_);
-            no_more_work_ = true;
-            return false;
-        }
-        current_tenant_ = grant.tenant;
-        current_deadline_ = grant.deadline;
-        current_trace_ = grant.trace;
-        if (!openSplit(*grant.split))
-            return true; // split abandoned; try another next pump
     }
-    // Per-stripe crash point, checked while a split is held — same
-    // placement as the parallel extract loop, so an injected crash
-    // always leaves an in-flight split for lease recovery to replay.
-    if (faultPoint(faults::kWorkerCrash)) {
-        crash();
-        return false;
-    }
-    if (current_deadline_.expired()) {
-        metrics_.inc("worker.deadline_expired");
-        releaseCurrentSplit();
-        return true;
-    }
-    if (!processNextStripe())
-        return true; // released or abandoned internally
-    if (next_stripe_ >= current_->stripe_count)
-        closeSplit();
-    return true;
-}
-
-bool
-Worker::openSplit(const Split &split)
-{
-    current_ = split;
-    // Resumed grants re-read only the undelivered stripe tail.
-    next_stripe_ = split.resume_stripe;
-    if (split.resume_stripe > 0)
-        metrics_.inc("worker.splits_resumed");
-    source_ = warehouse_.cluster().open(split.file);
-    const SessionSpec &spec = control_.tenantSpec(current_tenant_);
-    dwrf::ReadOptions read = spec.read;
-    read.projection = spec.projection;
-    read.verify_checksums = options_.verify_checksums;
-    // Parent the open reads (file tail + footer) on the grant span.
-    trace::ScopedParent open_ambient(current_trace_);
-    reader_ = std::make_unique<dwrf::FileReader>(*source_, read);
-    if (!reader_->valid()) {
-        dsi_warn("worker %u: unreadable file '%s'", id_,
-                 split.file.c_str());
-        current_epoch_ =
-            beginSplit({current_tenant_, split.id},
-                       split.stripe_count - split.resume_stripe);
-        abandonCurrentSplit();
-        return false;
-    }
-    reader_->setDeadline(current_deadline_);
-    current_epoch_ =
-        beginSplit({current_tenant_, split.id},
-                   split.stripe_count - split.resume_stripe);
-    return true;
-}
-
-bool
-Worker::processNextStripe()
-{
-    // A fully-delivered resume (every stripe was already handed to
-    // trainers before the previous attempt died) has nothing left to
-    // read; pump() closes the split right after this returns.
-    if (next_stripe_ >= current_->stripe_count)
-        return true;
-    uint32_t stripe_index = current_->first_stripe + next_stripe_;
-    dwrf::ReadStatus status = dwrf::ReadStatus::Ok;
-    auto stripe = stripe_pool_.acquire();
-    bool ok;
-    {
-        trace::Span espan(trace::spans::kExtractStripe,
-                          current_trace_, current_->id, stripe_index);
-        trace::ScopedParent ambient(espan.id());
-        ok = extractStripe(*reader_, current_tenant_, stripe_index,
-                           *stripe, metrics_, &status);
-    }
-    if (!ok) {
-        stripe_pool_.release(std::move(stripe));
-        if (status == dwrf::ReadStatus::DeadlineExpired) {
-            metrics_.inc("worker.deadline_expired");
-            releaseCurrentSplit();
-        } else {
-            abandonCurrentSplit();
-        }
-        return false;
-    }
-    RowId first_row = reader_->footer().stripes[stripe_index].first_row;
-    uint32_t relative_stripe = next_stripe_;
-    ++next_stripe_;
-    auto &graph = sync_graphs_[current_tenant_];
-    if (!graph) {
-        graph = std::make_unique<transforms::CompiledGraph>(
-            programFor(current_tenant_));
-    }
-    if (transformStripe(*stripe, current_tenant_, current_->id,
-                        current_epoch_, first_row, relative_stripe,
-                        *graph, transform_stats_, metrics_,
-                        /*blocking=*/false, current_trace_)) {
-        noteStripeTransformed({current_tenant_, current_->id},
-                              current_epoch_);
-    }
-    stripe_pool_.release(std::move(stripe));
-    return true;
-}
-
-void
-Worker::closeSplit()
-{
-    mergeReadStats(reader_->stats());
-    // Completion is delivery-gated: the Master hears completeSplit
-    // once the last buffered tensor of this split is popped.
-    finishExtraction({current_tenant_, current_->id}, current_epoch_);
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-}
-
-void
-Worker::abandonCurrentSplit()
-{
-    if (reader_)
-        mergeReadStats(reader_->stats());
-    SplitKey key{current_tenant_, current_->id};
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-    abandonSplit(key);
-}
-
-void
-Worker::releaseCurrentSplit()
-{
-    if (reader_)
-        mergeReadStats(reader_->stats());
-    SplitKey key{current_tenant_, current_->id};
-    reader_.reset();
-    source_.reset();
-    current_.reset();
-    returnSplit(key);
+    close(*pump_split_, end);
+    pump_split_.reset();
+    return end != SplitEnd::Aborted;
 }
 
 void
@@ -751,25 +619,29 @@ Worker::bufferedBytes() const
 }
 
 bool
-Worker::pushTensorBlocking(TensorBatch tensor)
+Worker::pushTensor(TensorBatch tensor, trace::SpanId parent)
 {
-    std::unique_lock lock(buffer_mutex_);
-    space_available_.wait(lock, [this] {
-        return stop_requested_ || crashed_ || !bufferFullLocked();
-    });
-    if (stop_requested_ || crashed_)
-        return false;
-    buffered_bytes_ += tensor.bytes;
-    buffer_.push_back(std::move(tensor));
+    // Pipeline threads wait for room; the pump thread must not (its
+    // own caller pops), so its buffer may overshoot the caps by one
+    // stripe's tensors. stripe_queue_ exists exactly once start() ran.
+    const bool wait_for_room = stripe_queue_ != nullptr;
+    const uint64_t split_id = tensor.split_id;
+    trace::Timer wait;
+    {
+        std::unique_lock lock(buffer_mutex_);
+        if (wait_for_room) {
+            space_available_.wait(lock, [this] {
+                return stop_requested_ || crashed_ || !bufferFullLocked();
+            });
+        }
+        if (stop_requested_ || crashed_)
+            return false;
+        buffered_bytes_ += tensor.bytes;
+        buffer_.push_back(std::move(tensor));
+    }
+    if (wait_for_room)
+        wait.complete(trace::spans::kBufferWait, parent, split_id);
     return true;
-}
-
-void
-Worker::enqueueTensor(TensorBatch tensor)
-{
-    std::scoped_lock lock(buffer_mutex_);
-    buffered_bytes_ += tensor.bytes;
-    buffer_.push_back(std::move(tensor));
 }
 
 bool

@@ -15,28 +15,35 @@
  * compiled graph per mini-batch), and partially load (batch rows into
  * ready-to-load tensors buffered in memory).
  *
- * Two execution modes share one Worker:
+ * One split lifecycle, two callers. Every split runs through the same
+ * stage functions — acquire (ask the control plane for a grant), open
+ * (file tail + footer), extractNext (the per-stripe checks, then one
+ * stripe read), close (finish, hand back, or abandon) — and every
+ * decoded stripe through the same transform stage. Only the caller
+ * differs:
  *
  *  - **Synchronous** (`num_extract_threads == num_transform_threads
- *    == 0`, the default): callers drive progress one stripe at a time
- *    via pump(). Used by deterministic tests and single-threaded
+ *    == 0`, the default): each pump() is one step of those stages on
+ *    the caller's thread — at most one stripe extracted and
+ *    transformed. Used by deterministic tests and single-threaded
  *    drivers.
  *
  *  - **Parallel** (either knob > 0): start() launches the pipelined
  *    data plane the paper describes — production workers run *many*
  *    extract/transform threads per node (Sections III-B1, VI-C). N
- *    extract threads pull splits from the Master and push decoded
- *    stripes into a bounded queue; M transform threads pop stripes,
- *    apply a per-thread compiled graph per mini-batch, and append to
- *    the byte-capped tensor buffer, blocking when trainers fall
- *    behind (backpressure instead of OOM). stop() aborts and joins
- *    cleanly; natural end-of-work drains and quiesces on its own.
+ *    extract threads each loop acquire → open → extractNext → push →
+ *    close, feeding decoded stripes into a bounded queue; M transform
+ *    threads pop stripes, apply a per-thread compiled graph per
+ *    mini-batch, and append to the byte-capped tensor buffer,
+ *    blocking when trainers fall behind (backpressure instead of
+ *    OOM). stop() aborts and joins cleanly; natural end-of-work
+ *    drains and quiesces on its own.
  *
  * Thread safety: popTensor(), drained(), buffered(), bufferedBytes(),
  * bufferFull(), and the stats/metrics accessors are safe to call from
  * any thread concurrently with a running pipeline (stats totals are
- * accumulated per thread and folded in as splits/threads finish, so
- * read them for exact values only after drained()). pump() is NOT
+ * folded in per transformed stripe and per closed split, so read them
+ * for exact values only after drained()). pump() is NOT
  * thread-safe and must not be mixed with start().
  */
 
@@ -211,10 +218,11 @@ class Worker
     void stop();
 
     /**
-     * Synchronous mode only: make one unit of progress — if the
-     * buffer has room, process one *stripe* of the current split
-     * (fetching a new split from the Master when needed); the split
-     * completes when its last stripe is done. Returns false when the
+     * Synchronous mode only: one step of the split lifecycle on the
+     * caller's thread — if the buffer has room, extract and transform
+     * one *stripe* of the held split (acquiring and opening a new
+     * split when none is held); the split closes with its last
+     * stripe. Heartbeats on every call. Returns false when the
      * session has no more work for this worker (the buffer may still
      * hold tensors).
      */
@@ -331,6 +339,57 @@ class Worker
         bool extraction_done = false;
     };
 
+    /**
+     * The split lifecycle's cursor: one held grant, from acquire() to
+     * close(). Extract threads keep theirs on the stack; pump() keeps
+     * one across calls.
+     */
+    struct HeldSplit
+    {
+        Split split;
+        TenantId tenant = 0;
+        Deadline deadline;                    ///< the grant's budget
+        trace::SpanId trace = trace::kNoSpan; ///< grant span
+        uint64_t epoch = 0;
+        std::unique_ptr<dwrf::RandomAccessSource> source;
+        std::unique_ptr<dwrf::FileReader> reader;
+        uint32_t next_stripe = 0; ///< relative to split.first_stripe
+        Metrics metrics;          ///< extract-side counts, folded by close()
+
+        SplitKey key() const { return {tenant, split.id}; }
+        bool exhausted() const
+        {
+            return next_stripe >= split.stripe_count;
+        }
+    };
+
+    /** Outcome of a lifecycle stage for the held split. */
+    enum class SplitEnd
+    {
+        Producing, ///< still held: a stripe was (or may be) extracted
+        Finished,  ///< every stripe extracted; completion awaits delivery
+        Released,  ///< hand back (preempted / budget spent): releaseSplit
+        Abandoned, ///< unreadable data: failSplit
+        Aborted,   ///< stopped or crashed: left in flight for recovery
+    };
+
+    /** What acquire() got from the control plane. */
+    enum class Acquired
+    {
+        Split,  ///< a grant is held
+        Retry,  ///< shed or standby: ask again later
+        NoWork, ///< idle out (or rejected as a zombie)
+    };
+
+    /**
+     * One transform lane's compiled programs, per tenant: the pump
+     * thread owns one, and so does each transform thread. Compiled ops
+     * hold per-instance state (e.g. the Sampling counter), so a graph
+     * is never shared across lanes.
+     */
+    using GraphCache =
+        std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>;
+
     // Split-progress bookkeeping (both modes). None of these hold
     // progress_mutex_ while calling into the control plane or the
     // buffer.
@@ -349,31 +408,45 @@ class Worker
     /** Simulate this worker process dying (worker.crash fault). */
     void crash();
 
-    // Synchronous-mode split processing.
-    bool openSplit(const Split &split);
-    bool processNextStripe();
-    void closeSplit();
-    void abandonCurrentSplit();
-    void releaseCurrentSplit();
+    // The split lifecycle (both modes): pump() runs one step of it per
+    // call, each extract thread loops over it.
 
-    // Parallel pipeline stages.
+    /** Ask the control plane for a split; on a grant, `held` holds it. */
+    Acquired acquire(std::optional<HeldSplit> &held);
+
+    /** Start the attempt and open the split's file (Abandoned: unreadable). */
+    SplitEnd open(HeldSplit &held);
+
+    /**
+     * Extract the held split's next stripe into `out` (Producing), or
+     * report why the split stops. Checks, in order: stripes left →
+     * stop/crash → worker.crash fault point → handback → heartbeat →
+     * deadline → extractStripe.
+     */
+    SplitEnd extractNext(HeldSplit &held, ExtractedStripe &out);
+
+    /**
+     * End the held split's extraction: fold its read stats and
+     * metrics, then finishExtraction (Finished), returnSplit
+     * (Released) or abandonSplit (Abandoned); Aborted does neither.
+     */
+    void close(HeldSplit &held, SplitEnd end);
+
+    // Parallel pipeline threads.
     uint32_t extractThreadCount() const;
     uint32_t transformThreadCount() const;
     void extractLoop();
     void transformLoop();
 
     /**
-     * Extract+inject one stripe into `out` (both modes), under
-     * `tenant`'s spec. False when the stripe is unreadable after the
-     * reader's own retries, or when the read budget expired
-     * mid-stripe — `status` (optional) tells the caller which, so it
-     * can abandon vs. release the split. `out` may hold a recycled
-     * batch; the reader strips and reuses its capacity.
+     * Read + inject one stripe of the held split into `out` (which
+     * may hold a recycled batch; the reader strips and reuses its
+     * capacity). Not Ok when the stripe is unreadable after the
+     * reader's own retries, or when the read budget expired mid-
+     * stripe.
      */
-    bool extractStripe(dwrf::FileReader &reader, TenantId tenant,
-                       uint32_t stripe_index, dwrf::RowBatch &out,
-                       Metrics &metrics,
-                       dwrf::ReadStatus *status = nullptr) const;
+    dwrf::ReadStatus extractStripe(HeldSplit &held, uint32_t stripe_index,
+                                   dwrf::RowBatch &out) const;
 
     /**
      * Publish stripe-pool counters as worker gauges. Called at every
@@ -389,23 +462,21 @@ class Worker
     const transforms::TransformGraph &programFor(TenantId tenant);
 
     /**
-     * Slice a stripe into mini-batch tensors via `graph`, under
-     * `tenant`'s spec. True when the whole stripe was enqueued
-     * (false: stopped/crashed mid-way).
+     * The transform stage (both modes): slice a stripe into
+     * mini-batch tensors through `graphs`' program for its tenant,
+     * recycle the stripe, fold the stage's stats and metrics, and
+     * count the stripe toward its split if every tensor was buffered
+     * (not stopped/crashed mid-way).
      */
-    bool transformStripe(dwrf::RowBatch &stripe, TenantId tenant,
-                         uint64_t split_id, uint64_t epoch,
-                         RowId first_row, uint32_t stripe_index,
-                         transforms::CompiledGraph &graph,
-                         transforms::TransformStats &stats,
-                         Metrics &metrics, bool blocking,
-                         trace::SpanId grant_span = trace::kNoSpan);
+    void transformStripe(ExtractedStripe &work, GraphCache &graphs);
 
     bool bufferFullLocked() const;
-    /** Blocking append honoring the caps; false if stopped. */
-    bool pushTensorBlocking(TensorBatch tensor);
-    /** Non-blocking append (synchronous pump path). */
-    void enqueueTensor(TensorBatch tensor);
+    /**
+     * Append a tensor to the buffer; false if stopped or crashed. Once
+     * pipeline threads run, this waits for room under the caps; the
+     * pump thread never waits (it checked for room before extracting).
+     */
+    bool pushTensor(TensorBatch tensor, trace::SpanId parent);
     void mergeReadStats(const dwrf::ReadStats &rs);
 
     WorkSource &control_;
@@ -419,9 +490,6 @@ class Worker
     // programFor() stay valid while threads compile private copies.
     mutable std::mutex program_mutex_;
     std::map<TenantId, transforms::TransformGraph> programs_;
-    /** Sync mode: one compiled graph per tenant (pump thread only). */
-    std::map<TenantId, std::unique_ptr<transforms::CompiledGraph>>
-        sync_graphs_;
 
     // Tensor buffer (the partial-load stage). Guarded by buffer_mutex_.
     mutable std::mutex buffer_mutex_;
@@ -446,17 +514,12 @@ class Worker
     std::map<SplitKey, SplitProgress> split_progress_;
     uint64_t next_epoch_ = 1; ///< guarded by progress_mutex_
 
-    // Synchronous-mode in-progress split (stripe-granular pipelining).
-    std::optional<Split> current_;
-    TenantId current_tenant_ = 0; ///< tenant of the held grant
-    Deadline current_deadline_; ///< budget of the held grant
-    trace::SpanId current_trace_ = trace::kNoSpan; ///< held grant span
-    uint64_t current_epoch_ = 0;
-    uint32_t next_stripe_ = 0;
-    std::unique_ptr<dwrf::RandomAccessSource> source_;
-    std::unique_ptr<dwrf::FileReader> reader_;
+    // pump()'s lifecycle state: its held split (extract threads keep
+    // theirs on the stack) and its transform lane's graphs.
+    std::optional<HeldSplit> pump_split_;
+    GraphCache pump_graphs_;
 
-    // Cumulative stats; pipeline threads fold in under stats_mutex_.
+    // Cumulative stats; stages fold in under stats_mutex_.
     mutable std::mutex stats_mutex_;
     dwrf::ReadStats read_stats_;
     transforms::TransformStats transform_stats_;

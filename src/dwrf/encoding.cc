@@ -177,6 +177,11 @@ getFloatBlock(ByteSpan in, size_t &pos, std::span<float> out)
     size_t bytes = out.size() * sizeof(float);
     if (pos > in.size() || in.size() - pos < bytes)
         return false;
+    // An empty block (e.g. a scored list-dict stripe whose every list
+    // is a dictionary hit) may come with null pointers, which memcpy
+    // must not see even for zero bytes.
+    if (bytes == 0)
+        return true;
     std::memcpy(out.data(), in.data() + pos, bytes);
     pos += bytes;
     return true;
@@ -229,6 +234,23 @@ constexpr uint8_t kRunTag = 0x00;
 constexpr uint8_t kLiteralTag = 0x01;
 constexpr size_t kMinRun = 3;
 
+// Run arithmetic wraps mod 2^64 (two's complement), so any pair of
+// int64 values has a delta and runs round-trip without signed
+// overflow.
+int64_t
+wrapSub(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
+int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
 void
 flushLiterals(const std::vector<int64_t> &values, size_t begin, size_t end,
               Buffer &out)
@@ -253,9 +275,9 @@ rleEncode(const std::vector<int64_t> &values, Buffer &out)
         // Find the longest fixed-delta run starting at i.
         size_t run_end = i + 1;
         if (run_end < n) {
-            int64_t delta = values[run_end] - values[i];
+            int64_t delta = wrapSub(values[run_end], values[i]);
             while (run_end + 1 < n &&
-                   values[run_end + 1] - values[run_end] == delta) {
+                   wrapSub(values[run_end + 1], values[run_end]) == delta) {
                 ++run_end;
             }
             ++run_end; // convert last-index to one-past-end
@@ -294,7 +316,7 @@ rleDecodeScalar(ByteSpan in, std::vector<int64_t> &values)
             int64_t v = base;
             for (uint64_t k = 0; k < n; ++k) {
                 values.push_back(v);
-                v += delta;
+                v = wrapAdd(v, delta);
             }
         } else if (tag == kLiteralTag) {
             // Each literal needs >= 1 byte: reject a count the stream
@@ -338,7 +360,7 @@ rleDecode(ByteSpan in, std::vector<int64_t> &values)
                 int64_t v = base;
                 for (uint64_t k = 0; k < n; ++k) {
                     values.push_back(v);
-                    v += delta;
+                    v = wrapAdd(v, delta);
                 }
             } else if (delta == 0) {
                 values.resize(values.size() + n, base);
@@ -349,7 +371,7 @@ rleDecode(ByteSpan in, std::vector<int64_t> &values)
                 int64_t v = base;
                 for (uint64_t k = 0; k < n; ++k) {
                     dst[k] = v;
-                    v += delta;
+                    v = wrapAdd(v, delta);
                 }
             }
         } else if (tag == kLiteralTag) {

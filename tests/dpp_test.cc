@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "common/fault.h"
 #include "dpp/autoscaler.h"
 #include "dpp/session.h"
 #include "dpp/worker_model.h"
@@ -176,63 +177,42 @@ TEST_F(DppTest, CheckpointRestoreResumesWithoutRedoingWork)
     EXPECT_TRUE(replica.progress().done());
 }
 
-TEST_F(DppTest, CheckpointPersistsThroughTectonic)
-{
-    auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
-    WorkerId w = master.registerWorker();
-    auto s = master.acquireSplit(w, {}).split;
-    master.completeSplit(w, s->id);
-    master.checkpointToStorage(*mw_.cluster, "dpp/ckpt");
-
-    Master replica(*mw_.warehouse, spec);
-    replica.restoreFromStorage(*mw_.cluster, "dpp/ckpt");
-    EXPECT_EQ(replica.progress().completed_splits, 1u);
-    EXPECT_EQ(replica.progress().pending_splits,
-              master.totalSplits() - 1);
-}
-
-TEST_F(DppTest, MissingCheckpointFallsBackToColdStart)
+TEST_F(DppTest, MissingJournalFallsBackToColdStart)
 {
     Master master(*mw_.warehouse, makeSpec(mw_, {0}));
-    EXPECT_FALSE(master.restoreFromStorage(*mw_.cluster, "nope"));
-    EXPECT_EQ(
-        master.metrics().counter("master.checkpoint_restore_failed"),
-        1.0);
+    master.enableJournal(*mw_.cluster, "dpp/journal-none");
+    EXPECT_FALSE(master.recoverFromJournal());
     // The master is untouched and serves the full split set cold.
+    EXPECT_EQ(master.epoch(), 0u);
     EXPECT_EQ(master.progress().pending_splits, master.totalSplits());
     WorkerId w = master.registerWorker();
     EXPECT_EQ(master.acquireSplit(w, {}).status, GrantStatus::Granted);
 }
 
-TEST_F(DppTest, TruncatedCheckpointFallsBackToColdStart)
+TEST_F(DppTest, CorruptJournalFallsBackToColdStart)
 {
     auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
-    WorkerId w = master.registerWorker();
-    auto s = master.acquireSplit(w, {}).split;
-    master.completeSplit(w, s->id);
-    master.checkpointToStorage(*mw_.cluster, "dpp/ckpt-trunc");
-
-    // Corrupt the stored checkpoint: overwrite with a truncated blob.
-    dwrf::Buffer full;
     {
-        auto src = mw_.cluster->open("dpp/ckpt-trunc");
-        src->read(0, src->size(), full);
+        // Every record the first master writes lands with a flipped
+        // bit.
+        ScopedFault corrupt(faults::kCheckpointWriteCorrupt,
+                            FaultSpec{.probability = 1.0});
+        Master master(*mw_.warehouse, spec);
+        master.enableJournal(*mw_.cluster, "dpp/journal-corrupt");
+        WorkerId w = master.registerWorker();
+        auto s = master.acquireSplit(w, {}).split;
+        master.completeSplit(w, s->id);
+        master.checkpointNow();
     }
-    dwrf::Buffer trunc(full.begin(),
-                       full.begin() +
-                           static_cast<long>(full.size() / 2));
-    mw_.cluster->remove("dpp/ckpt-trunc");
-    mw_.cluster->put("dpp/ckpt-trunc", trunc);
 
     Master replica(*mw_.warehouse, spec);
-    EXPECT_FALSE(
-        replica.restoreFromStorage(*mw_.cluster, "dpp/ckpt-trunc"));
-    EXPECT_EQ(
-        replica.metrics().counter("master.checkpoint_restore_failed"),
-        1.0);
-    // Cold start: no state was inherited from the corrupt checkpoint.
+    replica.enableJournal(*mw_.cluster, "dpp/journal-corrupt");
+    EXPECT_FALSE(replica.recoverFromJournal());
+    EXPECT_GE(replica.metrics().counter(
+                  "master.checkpoint.corrupt_skipped"),
+              1.0);
+    // Cold start: no state was inherited from the corrupt record.
+    EXPECT_EQ(replica.epoch(), 0u);
     EXPECT_EQ(replica.progress().completed_splits, 0u);
     EXPECT_EQ(replica.progress().pending_splits,
               replica.totalSplits());

@@ -125,6 +125,21 @@ TEST(ListDictCodec, RoundTripEdgeShapes)
     ListDictColumnEncode enc;
     expectColumnsEqual(scored, roundTrip(scored, 4, {}, &enc));
     EXPECT_EQ(enc.dict_refs, 4u);
+
+    // A scored stripe whose every list is a dictionary hit: its inline
+    // scores block is empty, and decoding it copies zero floats into
+    // an empty (null-data) vector.
+    std::vector<std::vector<int64_t>> hit_lists{
+        {9}, {9}, {3, 4}, {9}, {3, 4}};
+    std::vector<std::vector<float>> hit_scores{
+        {0.75f}, {0.75f}, {0.5f, 0.25f}, {0.75f}, {0.5f, 0.25f}};
+    SparseColumn all_hits = makeColumn(hit_lists, &hit_scores);
+    ListDictDecodeStats decode_stats;
+    expectColumnsEqual(all_hits,
+                       roundTrip(all_hits, 5, {}, &enc, &decode_stats));
+    EXPECT_EQ(enc.inline_lists, 0u);
+    EXPECT_EQ(decode_stats.inline_lists, 0u);
+    EXPECT_EQ(decode_stats.dict_refs, 5u);
 }
 
 TEST(ListDictCodec, AllIdenticalListsInternOnce)
