@@ -26,6 +26,18 @@ hash4(const uint8_t *p)
     return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/**
+ * Hash table reused by every lzCompress call on this thread. Entries
+ * hold `base + pos`; each call takes a fresh base above every value an
+ * earlier call stored, so older entries read as empty without clearing
+ * the table (zero, below the first base, is empty too).
+ */
+struct LzTable
+{
+    std::vector<uint64_t> slots = std::vector<uint64_t>(kHashSize, 0);
+    uint64_t next_base = 1;
+};
+
 void
 lzCompress(ByteSpan in, Buffer &out)
 {
@@ -34,7 +46,10 @@ lzCompress(ByteSpan in, Buffer &out)
     if (n == 0)
         return;
 
-    std::vector<int64_t> table(kHashSize, -1);
+    thread_local LzTable lz;
+    std::vector<uint64_t> &table = lz.slots;
+    const uint64_t base = lz.next_base;
+    lz.next_base += n;
     size_t pos = 0;
     size_t lit_start = 0;
 
@@ -50,24 +65,24 @@ lzCompress(ByteSpan in, Buffer &out)
 
     while (pos + kMinMatch <= n) {
         uint32_t h = hash4(&in[pos]);
-        int64_t cand = table[h];
-        table[h] = static_cast<int64_t>(pos);
+        const uint64_t slot = table[h];
+        table[h] = base + pos;
 
-        if (cand >= 0 &&
-            pos - static_cast<size_t>(cand) <= kMaxOffset &&
-            std::memcmp(&in[cand], &in[pos], kMinMatch) == 0) {
+        if (slot >= base && pos - (slot - base) <= kMaxOffset &&
+            std::memcmp(&in[slot - base], &in[pos], kMinMatch) == 0) {
+            const size_t cand = slot - base;
             size_t match_len = kMinMatch;
             while (pos + match_len < n &&
                    in[cand + match_len] == in[pos + match_len]) {
                 ++match_len;
             }
-            emit(pos, match_len, pos - static_cast<size_t>(cand));
+            emit(pos, match_len, pos - cand);
             // Re-index a couple of positions inside the match to keep
             // the table warm without the full O(n) insert cost.
             size_t end = pos + match_len;
             for (size_t p = pos + 1; p < end && p + kMinMatch <= n;
                  p += match_len >= 64 ? 16 : 1) {
-                table[hash4(&in[p])] = static_cast<int64_t>(p);
+                table[hash4(&in[p])] = base + p;
             }
             pos = end;
         } else {
@@ -115,10 +130,18 @@ lzDecompress(ByteSpan in)
             out.size() + match_len > out_size) {
             return std::nullopt;
         }
-        // Byte-by-byte copy: matches may self-overlap (RLE-style).
-        size_t src = out.size() - offset;
-        for (uint64_t k = 0; k < match_len; ++k)
-            out.push_back(out[src + k]);
+        const size_t src = out.size() - offset;
+        if (offset >= match_len) {
+            // Source and destination are disjoint: one bulk copy.
+            out.resize(out.size() + match_len);
+            std::memcpy(out.data() + src + offset, out.data() + src,
+                        match_len);
+        } else {
+            // Self-overlapping match (RLE-style): each byte may read
+            // one written earlier in this same copy.
+            for (uint64_t k = 0; k < match_len; ++k)
+                out.push_back(out[src + k]);
+        }
     }
     return out;
 }

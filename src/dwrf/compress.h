@@ -35,6 +35,12 @@ void compress(Codec codec, ByteSpan in, Buffer &out);
 /**
  * Decompress a block produced by compress(). Returns std::nullopt on
  * malformed input.
+ *
+ * The block's leading varint (the raw size) is trusted: Codec::Lz
+ * reserves that many bytes up front, so a corrupt header can ask for
+ * an allocation that fails. Callers holding untrusted bytes check the
+ * header against a size they know first (FileReader::openStream
+ * compares it with the footer's StreamInfo::raw_length).
  */
 std::optional<Buffer> decompress(Codec codec, ByteSpan in);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 namespace dsi::dwrf {
 
@@ -434,20 +433,18 @@ varintLen(uint64_t v)
 void
 encodeValues(const std::vector<int64_t> &values, Buffer &out)
 {
-    // Count distinct values (bail out early past the dict cap) and
-    // size both representations.
-    std::map<int64_t, uint32_t> dict;
-    size_t direct_bytes = 0;
-    for (int64_t v : values) {
-        direct_bytes += varintLen(zigzagEncode(v));
-        dict.emplace(v, 0);
-        if (dict.size() > kMaxDictSize)
-            break;
-    }
+    // The distinct values in ascending order are the dictionary; size
+    // both representations from them.
+    std::vector<int64_t> dict(values);
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
     bool use_dict = false;
     if (dict.size() <= kMaxDictSize && dict.size() < values.size()) {
+        size_t direct_bytes = 0;
+        for (int64_t v : values)
+            direct_bytes += varintLen(zigzagEncode(v));
         size_t dict_bytes = varintLen(dict.size());
-        for (const auto &[value, _] : dict)
+        for (int64_t value : dict)
             dict_bytes += varintLen(zigzagEncode(value));
         // Upper-bound index cost with the largest index.
         dict_bytes += values.size() * varintLen(dict.size() - 1);
@@ -463,13 +460,13 @@ encodeValues(const std::vector<int64_t> &values, Buffer &out)
     out.push_back(kDictTag);
     putVarint(out, values.size());
     putVarint(out, dict.size());
-    uint32_t index = 0;
-    for (auto &[value, idx] : dict) {
-        idx = index++;
+    for (int64_t value : dict)
         putSignedVarint(out, value);
+    for (int64_t v : values) {
+        putVarint(out, static_cast<uint64_t>(
+                           std::lower_bound(dict.begin(), dict.end(), v) -
+                           dict.begin()));
     }
-    for (int64_t v : values)
-        putVarint(out, dict.at(v));
 }
 
 bool

@@ -264,7 +264,17 @@ FileReader::openStream(const StreamInfo &info, Buffer stored,
         cipher_.apply(info.offset, stored);
         stats_.bytes_decrypted += stored.size();
     }
-    auto raw = decompress(footer_->codec, stored);
+    // Both codecs open with the raw size as a varint, and decompress()
+    // trusts it (Lz reserves that much): hold it to the footer's
+    // length first, so a corrupt header is a decode error rather than
+    // an allocation of whatever size the bad bytes claim.
+    size_t header_end = 0;
+    uint64_t header_size = 0;
+    std::optional<Buffer> raw;
+    if (getVarint(stored, header_end, header_size) &&
+        header_size == info.raw_length) {
+        raw = decompress(footer_->codec, stored);
+    }
     if (!raw.has_value() || raw->size() != info.raw_length) {
         ++stats_.decode_errors;
         dsi_warn("stream at offset %llu failed to decode",

@@ -1,12 +1,21 @@
 /**
  * @file
  * Round-trip and property tests for stream encodings, the LZ codec,
- * and the stream cipher.
+ * the stream cipher and the CRC32-C kernels, plus byte-identity pins
+ * on the LZ and value-dictionary encoders: their digests are fixed,
+ * so a faster kernel must store exactly the bytes the original did.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iostream>
+#include <string>
+#include <string_view>
+#include <thread>
+
 #include "common/rng.h"
+#include "dwrf/checksum.h"
 #include "dwrf/cipher.h"
 #include "dwrf/compress.h"
 #include "dwrf/encoding.h"
@@ -584,6 +593,331 @@ TEST(Cipher, DifferentKeysDiffer)
     c1.apply(7, a);
     c2.apply(7, b);
     EXPECT_NE(a, b);
+}
+
+// ---------------------------------------------------------------------
+// CRC32-C: hardware kernel against the portable table.
+
+TEST(Crc32, KnownAnswer)
+{
+    // RFC 3720 (iSCSI) check value for CRC32-C.
+    std::string_view check = "123456789";
+    ByteSpan bytes(reinterpret_cast<const uint8_t *>(check.data()),
+                   check.size());
+    EXPECT_EQ(crc32(bytes), 0xE3069283u);
+    EXPECT_EQ(crc32Portable(bytes), 0xE3069283u);
+    EXPECT_EQ(crc32(ByteSpan{}), 0u);
+    EXPECT_EQ(crc32Portable(ByteSpan{}), 0u);
+}
+
+TEST(Crc32, HardwareMatchesPortableOnEveryLengthAndAlignment)
+{
+    if (!crc32IsHardware())
+        std::cout << "note: no SSE4.2; crc32() is the portable path\n";
+    Rng rng(3720);
+    Buffer data((1u << 20) + 8);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len <= 1024; ++len) {
+            ByteSpan span(data.data() + align, len);
+            ASSERT_EQ(crc32(span), crc32Portable(span))
+                << "align=" << align << " len=" << len;
+        }
+        ByteSpan mib(data.data() + align, 1u << 20);
+        EXPECT_EQ(crc32(mib), crc32Portable(mib)) << "align=" << align;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Byte identity of the encoders. The digests below were recorded from
+// the original kernels (fresh hash table per LZ call, std::map value
+// dictionary); any change to them changes stored bytes, footer
+// checksums and storage block stamps.
+
+uint64_t
+fnv1a(const Buffer &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+Buffer
+randomBytes(Rng &rng, size_t n)
+{
+    Buffer out(n);
+    for (auto &b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+/** Seeded LZ inputs: tiny, runs, random, and past the 64 KiB offset cap. */
+std::vector<Buffer>
+lzCorpus()
+{
+    Rng rng(1301);
+    std::vector<Buffer> corpus;
+    corpus.push_back({});
+    corpus.push_back({0x42});
+    corpus.push_back({0x42, 0x42});
+    corpus.push_back({0x01, 0x02, 0x03});
+    corpus.push_back(Buffer(5000, 'a'));
+    Buffer runs; // runs of random length and byte
+    for (int r = 0; r < 400; ++r)
+        runs.insert(runs.end(), 1 + rng.nextUint(60),
+                    static_cast<uint8_t>(rng.next()));
+    corpus.push_back(std::move(runs));
+    corpus.push_back(randomBytes(rng, 4096));
+    corpus.push_back(randomBytes(rng, 100000));
+    Buffer text;
+    for (int i = 0; i < 3000; ++i) {
+        std::string_view s = "feature_stream_payload_";
+        text.insert(text.end(), s.begin(), s.end());
+    }
+    corpus.push_back(std::move(text));
+    // A block repeated beyond the offset cap (no match allowed), then
+    // once at exactly the cap and once just past it.
+    Buffer far = randomBytes(rng, 30000);
+    Buffer filler = randomBytes(rng, 70000);
+    Buffer capped = far;
+    capped.insert(capped.end(), filler.begin(), filler.end());
+    capped.insert(capped.end(), far.begin(), far.end());
+    Buffer probe(capped.end() - 64, capped.end());
+    Buffer gap = randomBytes(rng, 0xffff - 64);
+    capped.insert(capped.end(), gap.begin(), gap.end());
+    capped.insert(capped.end(), probe.begin(), probe.end());
+    gap = randomBytes(rng, 0xffff - 63);
+    capped.insert(capped.end(), gap.begin(), gap.end());
+    capped.insert(capped.end(), probe.begin(), probe.end());
+    corpus.push_back(std::move(capped));
+    // Four-symbol bytes: dense short matches over 200 KiB.
+    Buffer alphabet(200000);
+    for (auto &b : alphabet)
+        b = static_cast<uint8_t>('w' + rng.nextUint(4));
+    corpus.push_back(std::move(alphabet));
+    // A dictionary-encoded id stream, as feature streams look.
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t rank = rng.nextUint(64) * rng.nextUint(64);
+        ids.push_back(static_cast<int64_t>(rank * 0x9e3779b97f4a7c15ULL));
+    }
+    Buffer id_stream;
+    encodeValues(ids, id_stream);
+    corpus.push_back(std::move(id_stream));
+    return corpus;
+}
+
+constexpr uint64_t kLzDigests[] = {
+    0xaf63bd4c8601b7dfULL, 0xb4f3f9774bc1c57dULL, 0x7aa1704010c46fdfULL,
+    0xf6890dfa3a42bca7ULL, 0x9ab1f20ddd99d167ULL, 0x77397b1b66640465ULL,
+    0x8798e6e20ecb06d3ULL, 0x6b815101488e56f3ULL, 0x1ee10cf4db8d0bdaULL,
+    0x83f6a68a86af0333ULL, 0x81958c29ba61e105ULL, 0x1de18e2c279af444ULL,
+};
+
+std::vector<uint64_t>
+lzDigests(const std::vector<Buffer> &corpus)
+{
+    std::vector<uint64_t> out;
+    for (const Buffer &in : corpus) {
+        Buffer enc;
+        compress(Codec::Lz, in, enc);
+        out.push_back(fnv1a(enc));
+    }
+    return out;
+}
+
+std::string
+hexList(const std::vector<uint64_t> &digests)
+{
+    std::string s;
+    char buf[32];
+    for (uint64_t d : digests) {
+        std::snprintf(buf, sizeof(buf), "0x%016llxULL, ",
+                      static_cast<unsigned long long>(d));
+        s += buf;
+    }
+    return s;
+}
+
+TEST(CodecIdentity, LzBytesMatchPinnedDigests)
+{
+    const auto corpus = lzCorpus();
+    ASSERT_EQ(corpus.size(), std::size(kLzDigests));
+    const auto got = lzDigests(corpus);
+    EXPECT_EQ(got, std::vector<uint64_t>(std::begin(kLzDigests),
+                                         std::end(kLzDigests)))
+        << "digests: " << hexList(got);
+    for (const Buffer &in : corpus) {
+        Buffer enc;
+        compress(Codec::Lz, in, enc);
+        auto back = decompress(Codec::Lz, enc);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(*back, in);
+    }
+}
+
+TEST(CodecIdentity, LzTableReuseMatchesFreshThread)
+{
+    // Large, small, large on one thread: the second large call sees a
+    // table full of the earlier calls' entries and must still emit
+    // what a thread with a fresh table emits.
+    const auto corpus = lzCorpus();
+    const Buffer &large = corpus[9];
+    const Buffer &small = corpus[6];
+    auto encode = [](const Buffer &in) {
+        Buffer enc;
+        compress(Codec::Lz, in, enc);
+        return enc;
+    };
+    Buffer fresh_large, fresh_small;
+    std::thread([&] { fresh_large = encode(large); }).join();
+    std::thread([&] { fresh_small = encode(small); }).join();
+    EXPECT_EQ(encode(large), fresh_large);
+    EXPECT_EQ(encode(small), fresh_small);
+    EXPECT_EQ(encode(large), fresh_large);
+}
+
+TEST(CodecIdentity, LzConcurrentCompressorsMatchPinnedDigests)
+{
+    const auto corpus = lzCorpus();
+    const std::vector<uint64_t> want(std::begin(kLzDigests),
+                                     std::end(kLzDigests));
+    constexpr size_t kThreads = 8;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks the corpus from a different start.
+            for (int pass = 0; pass < 3; ++pass) {
+                for (size_t k = 0; k < corpus.size(); ++k) {
+                    size_t i = (k + t) % corpus.size();
+                    Buffer enc;
+                    compress(Codec::Lz, corpus[i], enc);
+                    mismatches[t] += fnv1a(enc) != want[i];
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+/** Hand-built LZ block: literals, then one match. */
+Buffer
+lzBlock(std::string_view literals, uint64_t match_len, uint64_t offset)
+{
+    Buffer b;
+    putVarint(b, literals.size() + match_len);
+    putVarint(b, literals.size());
+    b.insert(b.end(), literals.begin(), literals.end());
+    putVarint(b, match_len);
+    putVarint(b, offset);
+    return b;
+}
+
+TEST(Lz, SelfOverlappingAndAdjacentMatchesDecode)
+{
+    const std::string_view pattern = "ABCDEFGH";
+    for (uint64_t offset = 1; offset <= 8; ++offset) {
+        const uint64_t match_len = 29; // > offset: self-overlapping
+        auto back = decompress(
+            Codec::Lz, lzBlock(pattern.substr(0, offset), match_len,
+                               offset));
+        ASSERT_TRUE(back.has_value()) << "offset=" << offset;
+        ASSERT_EQ(back->size(), offset + match_len);
+        for (size_t i = 0; i < back->size(); ++i)
+            EXPECT_EQ((*back)[i], pattern[i % offset])
+                << "offset=" << offset << " i=" << i;
+    }
+    // offset == match_len: the copy ends exactly where it starts
+    // writing, so source and destination just touch.
+    for (uint64_t len : {1u, 4u, 8u, 300u}) {
+        std::string literals;
+        for (uint64_t i = 0; i < len; ++i)
+            literals.push_back(static_cast<char>('a' + i % 26));
+        auto back = decompress(Codec::Lz, lzBlock(literals, len, len));
+        ASSERT_TRUE(back.has_value()) << "len=" << len;
+        EXPECT_EQ(std::string(back->begin(), back->end()),
+                  literals + literals);
+    }
+}
+
+/** Seeded encodeValues inputs around the dict-or-direct boundaries. */
+std::vector<std::vector<int64_t>>
+valueCorpus()
+{
+    Rng rng(4096);
+    std::vector<std::vector<int64_t>> corpus;
+    corpus.push_back({});
+    corpus.push_back({-42});
+    for (int64_t distinct : {4096, 4097}) { // dict cap: in, then out
+        std::vector<int64_t> v;
+        for (int rep = 0; rep < 3; ++rep)
+            for (int64_t i = 0; i < distinct; ++i)
+                v.push_back((i * 7919) - 5000);
+        corpus.push_back(std::move(v));
+    }
+    std::vector<int64_t> all_distinct; // d == n
+    for (int i = 0; i < 1000; ++i)
+        all_distinct.push_back(static_cast<int64_t>(rng.next()));
+    corpus.push_back(std::move(all_distinct));
+    // zigzag(100) takes two bytes: three copies cost 6 bytes either
+    // way (a tie, so direct), four favour the dictionary (7 vs 8).
+    corpus.push_back({100, 100, 100});
+    corpus.push_back({100, 100, 100, 100});
+    std::vector<int64_t> skewed;
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t rank = rng.nextUint(64) * rng.nextUint(64);
+        skewed.push_back(static_cast<int64_t>(rank * 0x9e3779b97f4a7c15ULL));
+    }
+    corpus.push_back(std::move(skewed));
+    std::vector<int64_t> extremes;
+    for (int i = 0; i < 500; ++i) {
+        int64_t pick[] = {INT64_MIN, INT64_MAX, -1, 0, 1,
+                          static_cast<int64_t>(rng.nextUint(1u << 20))};
+        extremes.push_back(pick[rng.nextUint(6)]);
+    }
+    corpus.push_back(std::move(extremes));
+    return corpus;
+}
+
+constexpr uint64_t kValueDigests[] = {
+    0x08328807b4eb6fedULL, 0xd949db186c0c9c6bULL, 0x404ac13c34b861d8ULL,
+    0x115f7683ff8cca93ULL, 0xcba6133da287545fULL, 0xcda7e0209c80eed7ULL,
+    0x1b6aadb33e82ec98ULL, 0x3086b059160b355eULL, 0x7373a3110f64512fULL,
+};
+
+TEST(CodecIdentity, EncodeValuesBytesMatchPinnedDigests)
+{
+    const auto corpus = valueCorpus();
+    ASSERT_EQ(corpus.size(), std::size(kValueDigests));
+    std::vector<uint64_t> got;
+    std::vector<uint8_t> tags;
+    for (const auto &values : corpus) {
+        Buffer enc;
+        encodeValues(values, enc);
+        got.push_back(fnv1a(enc));
+        tags.push_back(enc[0]);
+        std::vector<int64_t> back;
+        ASSERT_TRUE(decodeValues(enc, back));
+        EXPECT_EQ(back, values);
+    }
+    EXPECT_EQ(got, std::vector<uint64_t>(std::begin(kValueDigests),
+                                         std::end(kValueDigests)))
+        << "digests: " << hexList(got);
+    // Representation choices at the boundaries (0 direct, 1 dict).
+    EXPECT_EQ(tags[2], 0x01); // 4096 distinct: at the dict cap
+    EXPECT_EQ(tags[3], 0x00); // 4097 distinct: past it
+    EXPECT_EQ(tags[4], 0x00); // d == n
+    EXPECT_EQ(tags[5], 0x00); // tie goes to direct
+    EXPECT_EQ(tags[6], 0x01);
+    EXPECT_EQ(tags[7], 0x01);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/fault.h"
@@ -492,6 +493,42 @@ TEST(Checksum, VerificationCanBeDisabled)
     ASSERT_TRUE(reader.valid());
     auto batch = reader.readStripe(0); // must not die
     EXPECT_EQ(batch.rows, 50u);
+}
+
+TEST(Checksum, UnverifiedCorruptSizeHeaderIsDecodeError)
+{
+    // A stream whose LZ size header claims 2^56 bytes, read without
+    // checksum verification: the reader must hold the header to the
+    // footer's raw length and report a decode error, not try to
+    // reserve the claimed size (which throws std::bad_alloc).
+    auto rows = makeRows(200, 59);
+    WriterOptions wo;
+    wo.codec = Codec::Lz;
+    wo.encrypt = false;
+    FileWriter writer(wo);
+    writer.appendRows(rows);
+    Buffer file = writer.finish();
+    Buffer header;
+    putVarint(header, uint64_t{1} << 56);
+    const StreamInfo *target = nullptr;
+    for (const auto &info : writer.footer().stripes[0].streams) {
+        if (info.length >= header.size()) {
+            target = &info;
+            break;
+        }
+    }
+    ASSERT_NE(target, nullptr);
+    std::copy(header.begin(), header.end(), file.begin() + target->offset);
+    MemorySource src(std::move(file));
+    ReadOptions ro;
+    ro.verify_checksums = false;
+    ro.max_stripe_retries = 0;
+    FileReader reader(src, ro);
+    ASSERT_TRUE(reader.valid());
+    RowBatch out;
+    EXPECT_EQ(reader.readStripe(0, out), ReadStatus::DecodeError);
+    EXPECT_EQ(reader.stats().decode_errors, 1u);
+    EXPECT_EQ(reader.stats().checksum_mismatches, 0u);
 }
 
 TEST(Footer, ValueCountsRecorded)
