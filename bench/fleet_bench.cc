@@ -20,12 +20,12 @@
 
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "sched/dpp_fleet.h"
+#include "dpp/fleet.h"
 #include "warehouse/corpus.h"
 
 using namespace dsi;
-using sched::FleetScheduler;
-using sched::JobClass;
+using dpp::FleetScheduler;
+using dpp::JobClass;
 
 namespace {
 
@@ -76,7 +76,7 @@ main()
     auto mw = warehouse::buildMiniCorpus(benchParams(), 2, 4096, 2048,
                                          wo, so);
 
-    sched::FleetOptions fo;
+    dpp::FleetOptions fo;
     fo.initial_workers = 3;
     FleetScheduler fleet(*mw.warehouse, fo);
     double now = 0.0;
@@ -115,7 +115,7 @@ main()
         while (arrived < kTenants && now >= next_arrival) {
             // Class mix: 1 in 5 RC (reserved quota), 1 in 5 combo
             // at double weight, the rest best-effort explore.
-            sched::TenantOptions to;
+            dpp::TenantOptions to;
             uint64_t cls = rng.nextUint(5);
             if (cls == 0) {
                 to.job_class = JobClass::RC;
@@ -125,7 +125,7 @@ main()
                 to.weight = 2.0;
             }
             const Shape &shape = shapes[size_dist.sample(rng)];
-            to.name = std::string(sched::jobClassName(to.job_class)) +
+            to.name = std::string(dpp::jobClassName(to.job_class)) +
                       std::to_string(arrived);
             TenantId id = fleet.addTenant(
                 jobSpec(mw, shape.partitions, shape.rows_per_split),
@@ -153,7 +153,7 @@ main()
         exact = exact && s.rows_delivered == expected_rows[i] &&
                 s.done;
         table.addRow(
-            {s.name, sched::jobClassName(s.job_class), shape_of[i],
+            {s.name, dpp::jobClassName(s.job_class), shape_of[i],
              TablePrinter::num(weights[i], 1),
              std::to_string(s.rows_delivered),
              std::to_string(s.granted), std::to_string(s.shed),

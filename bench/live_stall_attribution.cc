@@ -113,7 +113,7 @@ main()
                 query.count(trace::spans::kMasterGrant),
                 query.count(trace::spans::kReaderStripe),
                 query.count(trace::spans::kStorageRead),
-                query.count(trace::spans::kClientDeliver));
+                query.count(trace::spans::kFleetDeliver));
 
     double traced_rate = traced.rows / traced.seconds;
     double plain_rate = plain.rows / plain.seconds;

@@ -33,6 +33,7 @@
 #include "common/bench_report.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "dpp/client.h"
 #include "dpp/session.h"
 #include "dwrf/encoding.h"
 #include "test_fixtures_bench.h"

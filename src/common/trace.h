@@ -88,7 +88,9 @@ inline constexpr const char *kClientDeliver = "client.deliver";
  * made on the tenant's behalf parents on this span, labeling the
  * whole lineage with the tenant (a0 = tenant id). */
 inline constexpr const char *kFleetTenant = "fleet.tenant";
-/** One tensor delivered to a tenant's ledger by the fleet drain. */
+/** One tensor handed off by the fleet drain (pop + ledger claim; the
+ * trainer's own time in the sink is not inside it). a0 = tenant id,
+ * a1 = split id. */
 inline constexpr const char *kFleetDeliver = "fleet.deliver";
 /** One durable control-plane checkpoint written to the journal
  * (a0 = record sequence number, a1 = record bytes). */

@@ -236,7 +236,11 @@ TraceQuery::topology() const
 double
 TraceQuery::lineageCompleteFraction() const
 {
-    auto delivers = byName(spans::kClientDeliver);
+    // Sessions and fleets deliver through the fleet drain; a trainer
+    // polling workers itself delivers through Client::next.
+    auto delivers = byName(spans::kFleetDeliver);
+    auto client = byName(spans::kClientDeliver);
+    delivers.insert(delivers.end(), client.begin(), client.end());
     if (delivers.empty())
         return 0.0;
     size_t complete = 0;
@@ -266,8 +270,9 @@ TraceQuery::stallReport() const
     double buffer_wait = totalDuration(spans::kBufferWait);
     report.transform_s = std::max(
         0.0, totalDuration(spans::kTransformStripe) - buffer_wait);
-    report.deliver_s =
-        buffer_wait + totalDuration(spans::kClientDeliver);
+    report.deliver_s = buffer_wait +
+                       totalDuration(spans::kFleetDeliver) +
+                       totalDuration(spans::kClientDeliver);
     return report;
 }
 

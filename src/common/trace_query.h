@@ -54,7 +54,7 @@ struct StallReport
 {
     double read_s = 0.0;      ///< extract: storage read+decode time
     double transform_s = 0.0; ///< transform minus buffer waits
-    double deliver_s = 0.0;   ///< buffer waits + client delivery
+    double deliver_s = 0.0;   ///< buffer waits + batch hand-off
 
     double total() const { return read_s + transform_s + deliver_s; }
     double readPct() const;

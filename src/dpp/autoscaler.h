@@ -77,6 +77,39 @@ class AutoScaler
     AutoScalerConfig config_;
 };
 
+/**
+ * Live auto-scaling knobs of a running pool. When enabled, the control
+ * plane periodically collects WorkerReports from the live pool,
+ * computes demand (tensors delivered to trainers) and supply (tensors
+ * produced) rates over the period, and applies the AutoScaler policy:
+ * positive deltas launch stateless workers into the running pool,
+ * negative deltas gracefully drain victims (they finish and deliver
+ * everything held, then retire) — the same controller sim_session
+ * simulates.
+ */
+struct AutoScaleOptions
+{
+    bool enabled = false;
+    AutoScalerConfig scaler;
+
+    /** Clock seconds between scaling evaluations. */
+    double interval_s = 0.02;
+};
+
+/**
+ * One live scaling evaluation: exactly what the controller saw and
+ * what it decided. The log lets tests replay the same input stream
+ * through a fresh AutoScaler (the sim_session path) and assert the
+ * live pool did not drift from the shared policy.
+ */
+struct ScalingEvent
+{
+    std::vector<WorkerReport> reports;
+    double demand_rate = 0.0;
+    double supply_rate = 0.0;
+    ScalingDecision decision;
+};
+
 } // namespace dsi::dpp
 
 #endif // DSI_DPP_AUTOSCALER_H

@@ -1,4 +1,4 @@
-#include "dpp_fleet.h"
+#include "fleet.h"
 
 #include <algorithm>
 #include <chrono>
@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 
-namespace dsi::sched {
+namespace dsi::dpp {
 
 namespace {
 
@@ -49,14 +49,9 @@ FleetScheduler::FleetScheduler(const warehouse::Warehouse &warehouse,
 {
     dsi_assert(options_.initial_workers >= 1,
                "fleet needs >= 1 worker");
-    // The fleet is the long-lived resident service: it owns the
-    // storage healer for its whole lifetime, not per run().
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->startHealer(
-            options_.self_heal.heal);
     if (options_.autoscale.enabled)
         scaler_ =
-            std::make_unique<dpp::AutoScaler>(options_.autoscale.scaler);
+            std::make_unique<AutoScaler>(options_.autoscale.scaler);
     last_eval_ = clock_();
     for (uint32_t i = 0; i < options_.initial_workers; ++i)
         launchWorker();
@@ -68,17 +63,15 @@ FleetScheduler::~FleetScheduler()
 {
     for (auto &w : workers_)
         w->stop();
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->stopHealer();
 }
 
 TenantId
-FleetScheduler::addTenant(dpp::SessionSpec spec, TenantOptions opts)
+FleetScheduler::addTenant(SessionSpec spec, TenantOptions opts)
 {
     // Split enumeration can touch storage; do it outside the lock so
     // admitting a large tenant never stalls the grant path.
     auto master =
-        std::make_unique<dpp::Master>(warehouse_, std::move(spec));
+        std::make_unique<Master>(warehouse_, std::move(spec));
     master->setMaxSplitAttempts(options_.max_split_attempts);
     master->setAdmission(options_.admission);
 
@@ -130,6 +123,10 @@ FleetScheduler::registerWorker()
 void
 FleetScheduler::heartbeat(WorkerId worker)
 {
+    // Heartbeats feed only the lease monitor; without one, skip the
+    // fleet lock (popTensor heartbeats once per delivered batch).
+    if (options_.lease_timeout <= 0)
+        return;
     std::scoped_lock lock(mutex_);
     last_heartbeat_[worker] = clock_();
 }
@@ -148,9 +145,9 @@ FleetScheduler::masterIdLocked(TenantState &st, WorkerId worker)
     return mid;
 }
 
-dpp::SplitGrant
+SplitGrant
 FleetScheduler::acquireSplit(WorkerId worker,
-                             const dpp::WorkerLoad &load)
+                             const WorkerLoad &load)
 {
     std::scoped_lock lock(mutex_);
     double now = clock_();
@@ -184,9 +181,9 @@ FleetScheduler::acquireSplit(WorkerId worker,
         // Standby keeps the pool alive through arrival gaps; NoWork
         // (workers idle out) only once the fleet is closed and every
         // tenant reached a terminal state.
-        dpp::SplitGrant g;
-        g.status = (closed_ && all_done) ? dpp::GrantStatus::NoWork
-                                         : dpp::GrantStatus::Standby;
+        SplitGrant g;
+        g.status = (closed_ && all_done) ? GrantStatus::NoWork
+                                         : GrantStatus::Standby;
         return g;
     }
 
@@ -231,13 +228,13 @@ FleetScheduler::acquireSplit(WorkerId worker,
                                    trace::kNoSpan, st.id);
     trace::ScopedParent tenant_parent(st.span);
     WorkerId mid = masterIdLocked(st, worker);
-    dpp::SplitGrant g = st.master->acquireSplit(mid, load);
-    if (g.status != dpp::GrantStatus::Granted) {
+    SplitGrant g = st.master->acquireSplit(mid, load);
+    if (g.status != GrantStatus::Granted) {
         // Overloaded (this worker is over the tenant's admission
         // caps) passes through so the worker backs off; anything else
         // becomes Standby — other tenants may still feed it later.
-        if (g.status != dpp::GrantStatus::Overloaded)
-            g.status = dpp::GrantStatus::Standby;
+        if (g.status != GrantStatus::Overloaded)
+            g.status = GrantStatus::Standby;
         return g;
     }
     g.tenant = st.id;
@@ -251,17 +248,31 @@ FleetScheduler::acquireSplit(WorkerId worker,
     return g;
 }
 
+FleetScheduler::TenantState &
+FleetScheduler::tenantLocked(TenantId tenant) const
+{
+    auto it = tenants_.find(tenant);
+    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
+    return *it->second;
+}
+
+void
+FleetScheduler::dropGrantLocked(TenantId tenant, uint64_t split_id,
+                                WorkerId worker)
+{
+    auto it = grants_.find({tenant, split_id});
+    if (it != grants_.end() && it->second == worker)
+        grants_.erase(it);
+}
+
 void
 FleetScheduler::completeSplit(WorkerId worker, TenantId tenant,
                               uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        return;
-    TenantState &st = *it->second;
+    TenantState &st = tenantLocked(tenant);
     st.master->completeSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    dropGrantLocked(tenant, split_id, worker);
     // The tenant's lifetime span closes with its last split.
     if (st.span != trace::kNoSpan && st.master->progress().done()) {
         trace::endSpan(st.span, trace::spans::kFleetTenant);
@@ -274,12 +285,9 @@ FleetScheduler::failSplit(WorkerId worker, TenantId tenant,
                           uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        return;
-    TenantState &st = *it->second;
+    TenantState &st = tenantLocked(tenant);
     st.master->failSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    dropGrantLocked(tenant, split_id, worker);
 }
 
 void
@@ -287,30 +295,23 @@ FleetScheduler::releaseSplit(WorkerId worker, TenantId tenant,
                              uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end())
-        return;
-    TenantState &st = *it->second;
+    TenantState &st = tenantLocked(tenant);
     st.master->releaseSplit(masterIdLocked(st, worker), split_id);
-    grants_.erase({tenant, split_id});
+    dropGrantLocked(tenant, split_id, worker);
 }
 
-const dpp::SessionSpec &
+const SessionSpec &
 FleetScheduler::tenantSpec(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->spec();
+    return tenantLocked(tenant).master->spec();
 }
 
 const dwrf::Buffer &
 FleetScheduler::tenantProgram(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->transformProgram();
+    return tenantLocked(tenant).master->transformProgram();
 }
 
 // ---------------------------------------------------------------------
@@ -321,7 +322,7 @@ FleetScheduler::launchWorker()
 {
     // Worker construction registers with the fleet (takes the fleet
     // lock) — never call this while holding mutex_.
-    workers_.push_back(std::make_unique<dpp::Worker>(
+    workers_.push_back(std::make_unique<Worker>(
         *this, warehouse_, options_.worker));
     if (running_parallel_)
         workers_.back()->start();
@@ -333,14 +334,24 @@ FleetScheduler::launchWorker()
 }
 
 void
+FleetScheduler::retireWorkerAt(size_t i)
+{
+    Worker &w = *workers_[i];
+    w.stop();
+    retired_metrics_.merge(w.metrics());
+    retired_read_stats_.merge(w.readStats());
+    retired_transform_stats_.merge(w.transformStats());
+    std::scoped_lock lock(mutex_);
+    last_heartbeat_.erase(w.id());
+}
+
+void
 FleetScheduler::replaceWorkerAt(size_t i)
 {
     dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    workers_[i]->stop();
-    retired_metrics_.merge(workers_[i]->metrics());
+    retireWorkerAt(i);
     {
         std::scoped_lock lock(mutex_);
-        last_heartbeat_.erase(workers_[i]->id());
         ++worker_failures_;
     }
     metrics_.inc("fleet.worker_replacements");
@@ -349,10 +360,25 @@ FleetScheduler::replaceWorkerAt(size_t i)
     // Master re-grants them with resume_stripe set past its
     // delivered-stripe watermark, so the replacement reads only the
     // undelivered tail of each split.
-    workers_[i] = std::make_unique<dpp::Worker>(*this, warehouse_,
-                                                options_.worker);
+    workers_[i] = std::make_unique<Worker>(*this, warehouse_,
+                                           options_.worker);
     if (running_parallel_)
         workers_[i]->start();
+}
+
+void
+FleetScheduler::failWorkerAt(size_t i)
+{
+    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
+    // Stop the victim's pipeline threads first so none of them calls
+    // into a Master after it is declared dead. Its buffered
+    // (undelivered) tensors are lost with it.
+    workers_[i]->stop();
+    {
+        std::scoped_lock lock(mutex_);
+        failWorkerLocked(workers_[i]->id());
+    }
+    replaceWorkerAt(i);
 }
 
 bool
@@ -376,7 +402,6 @@ FleetScheduler::failWorkerLocked(WorkerId worker)
     }
     for (auto it = grants_.begin(); it != grants_.end();)
         it = it->second == worker ? grants_.erase(it) : std::next(it);
-    metrics_.inc("fleet.lease_expirations");
 }
 
 bool
@@ -398,8 +423,10 @@ FleetScheduler::expireFleetLeases()
                 now - hb->second > options_.lease_timeout)
                 dead.push_back(i);
         }
-        for (size_t i : dead)
+        for (size_t i : dead) {
             failWorkerLocked(workers_[i]->id());
+            metrics_.inc("fleet.lease_expirations");
+        }
     }
     for (size_t i : dead)
         replaceWorkerAt(i);
@@ -430,6 +457,14 @@ FleetScheduler::replaceCrashedWorkers()
     return replaced;
 }
 
+void
+FleetScheduler::expireDeadlines()
+{
+    std::scoped_lock lock(mutex_);
+    for (auto &[id, st] : tenants_)
+        deadline_expirations_ += st->master->expireDeadlines();
+}
+
 bool
 FleetScheduler::retireDrainedWorkers()
 {
@@ -437,11 +472,9 @@ FleetScheduler::retireDrainedWorkers()
     for (size_t i = 0; i < workers_.size();) {
         if (workers_[i]->draining() && workers_[i]->drained() &&
             workers_.size() > 1) {
-            retired_metrics_.merge(workers_[i]->metrics());
-            workers_[i]->stop();
+            retireWorkerAt(i);
             {
                 std::scoped_lock lock(mutex_);
-                last_heartbeat_.erase(workers_[i]->id());
                 ++workers_drained_;
             }
             workers_.erase(workers_.begin() +
@@ -540,32 +573,38 @@ FleetScheduler::maybeAutoscale()
         return;
     last_eval_ = now;
 
-    std::vector<dpp::WorkerReport> reports;
+    ScalingEvent ev;
     double supplied = 0.0;
     for (auto &w : workers_) {
         supplied += w->metrics().counter("worker.tensors");
+        // Draining victims are leaving the pool; they are not part of
+        // the capacity the controller reasons about.
         if (!w->draining() && !w->crashed())
-            reports.push_back(w->report());
+            ev.reports.push_back(w->report());
     }
     uint64_t delivered;
     {
         std::scoped_lock lock(mutex_);
         delivered = tensors_delivered_;
     }
-    double demand_rate = (static_cast<double>(delivered) -
-                          static_cast<double>(last_delivered_)) /
-                         dt;
-    double supply_rate =
-        std::max(0.0, (supplied - last_supplied_) / dt);
+    ev.demand_rate = (static_cast<double>(delivered) -
+                      static_cast<double>(last_delivered_)) /
+                     dt;
+    // Worker replacement resets counters; clamp the window delta.
+    ev.supply_rate = std::max(0.0, (supplied - last_supplied_) / dt);
     last_delivered_ = delivered;
     last_supplied_ = supplied;
-    auto decision =
-        scaler_->evaluate(reports, demand_rate, supply_rate);
+    ev.decision =
+        scaler_->evaluate(ev.reports, ev.demand_rate, ev.supply_rate);
+    const ScalingDecision &decision = ev.decision;
 
     if (decision.delta > 0) {
+        // Launch: stateless workers join the split pool immediately.
         for (int64_t i = 0; i < decision.delta; ++i)
             launchWorker();
     } else if (decision.delta < 0) {
+        // Graceful drain: victims stop acquiring splits, finish and
+        // deliver everything held, and are retired once empty.
         int64_t to_drain = -decision.delta;
         for (auto it = workers_.rbegin();
              it != workers_.rend() && to_drain > 0; ++it) {
@@ -575,23 +614,27 @@ FleetScheduler::maybeAutoscale()
             --to_drain;
         }
     }
+    scaling_log_.push_back(std::move(ev));
 }
 
-uint64_t
+void
 FleetScheduler::drainOnce(const TensorSink &sink)
 {
-    uint64_t delivered = 0;
+    // Every live worker is drained, so no worker's buffer (and no
+    // split's delivery-gated completion) waits on a trainer's routing.
     for (auto &w : workers_) {
         // popTensor routes completion back through the fleet (it
         // locks mutex_ internally) — never hold the lock across it.
-        while (auto t = w->popTensor()) {
+        // A halted control plane delivers nothing more.
+        while (!halt_requested_) {
+            trace::Timer handoff;
+            auto t = w->popTensor();
+            if (!t)
+                break;
             bool fresh;
             {
                 std::scoped_lock lock(mutex_);
-                auto it = tenants_.find(t->tenant);
-                if (it == tenants_.end())
-                    continue;
-                TenantState &st = *it->second;
+                TenantState &st = tenantLocked(t->tenant);
                 fresh = st.ledger.claim(t->split_id, t->first_row);
                 if (fresh) {
                     ++st.tensors_delivered;
@@ -600,7 +643,9 @@ FleetScheduler::drainOnce(const TensorSink &sink)
                     rows_delivered_ += t->data.rows;
                     // Feed the tenant Master's delivered-stripe
                     // watermark and checkpoint cadence (fleet ->
-                    // master lock order, legal under mutex_).
+                    // master lock order, legal under mutex_). The
+                    // claim is durable in the ledger snapshot of the
+                    // next journal record.
                     if (t->last_in_stripe)
                         st.master->noteStripeDelivered(t->split_id,
                                                        t->stripe);
@@ -614,14 +659,12 @@ FleetScheduler::drainOnce(const TensorSink &sink)
                                t->trace, t->split_id);
                 continue;
             }
-            trace::Span span(trace::spans::kFleetDeliver, t->trace,
+            handoff.complete(trace::spans::kFleetDeliver, t->trace,
                              t->tenant, t->split_id);
             if (sink)
                 sink(t->tenant, *t);
-            ++delivered;
         }
     }
-    return delivered;
 }
 
 // ---------------------------------------------------------------------
@@ -657,12 +700,15 @@ FleetScheduler::finished() const
 bool
 FleetScheduler::tick(const TensorSink &sink)
 {
+    if (halt_requested_)
+        return false;
     if (!parallel_) {
         for (auto &w : workers_)
             w->pump();
     }
     expireFleetLeases();
     replaceCrashedWorkers();
+    expireDeadlines();
     retireDrainedWorkers();
     maybePreempt();
     maybeAutoscale();
@@ -674,15 +720,18 @@ FleetScheduler::tick(const TensorSink &sink)
         for (auto &[id, st] : tenants_)
             st->master->maybeCheckpoint();
     }
-    return !finished();
+    return !halt_requested_ && !finished();
 }
 
 FleetResult
-FleetScheduler::run(TensorSink sink)
+FleetScheduler::run(TensorSink sink, uint64_t fail_after_splits)
 {
     close();
-    bool tracing = options_.trace || trace::envEnabled();
+    bool tracing = options_.trace.enabled || trace::envEnabled();
     if (tracing) {
+        // The log is process-wide; clearing at run start scopes this
+        // run's snapshot to its own events (and drops any buffered
+        // stragglers from an earlier run's pool threads).
         trace::TraceLog::instance().clear();
         trace::TraceLog::instance().enable();
     }
@@ -691,11 +740,24 @@ FleetScheduler::run(TensorSink sink)
         for (auto &w : workers_)
             w->start();
     }
-    while (!finished()) {
-        tick(sink);
+    while (tick(sink)) {
+        if (fail_after_splits > 0) {
+            uint64_t completed = 0;
+            {
+                std::scoped_lock lock(mutex_);
+                for (const auto &[id, st] : tenants_)
+                    completed += st->master->progress().completed_splits;
+            }
+            if (completed >= fail_after_splits) {
+                failWorkerAt(0);
+                fail_after_splits = 0;
+            }
+        }
         if (parallel_)
             std::this_thread::yield();
     }
+    // Quiesced pipelines just join here; after requestHalt() this
+    // aborts them, and their buffered tensors die with them.
     running_parallel_ = false;
     for (auto &w : workers_)
         w->stop();
@@ -717,6 +779,13 @@ FleetScheduler::run(TensorSink sink)
         r.workers_launched = workers_launched_;
         r.workers_drained = workers_drained_;
         r.preemptions = preemptions_;
+        r.deadline_expirations = deadline_expirations_;
+    }
+    r.read_stats = retired_read_stats_;
+    r.transform_stats = retired_transform_stats_;
+    for (const auto &w : workers_) {
+        r.read_stats.merge(w->readStats());
+        r.transform_stats.merge(w->transformStats());
     }
     if (tracing) {
         trace::TraceLog::instance().disable();
@@ -750,22 +819,32 @@ FleetScheduler::tenantStatsLocked(const TenantState &st) const
     return s;
 }
 
-dpp::SessionProgress
+SessionProgress
 FleetScheduler::tenantProgress(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return it->second->master->progress();
+    return tenantLocked(tenant).master->progress();
 }
 
 TenantStats
 FleetScheduler::tenantStats(TenantId tenant) const
 {
     std::scoped_lock lock(mutex_);
-    auto it = tenants_.find(tenant);
-    dsi_assert(it != tenants_.end(), "unknown tenant %u", tenant);
-    return tenantStatsLocked(*it->second);
+    return tenantStatsLocked(tenantLocked(tenant));
+}
+
+Master &
+FleetScheduler::tenantMaster(TenantId tenant)
+{
+    std::scoped_lock lock(mutex_);
+    return *tenantLocked(tenant).master;
+}
+
+DeliveryLedger &
+FleetScheduler::tenantLedger(TenantId tenant)
+{
+    std::scoped_lock lock(mutex_);
+    return tenantLocked(tenant).ledger;
 }
 
 size_t
@@ -788,9 +867,7 @@ FleetScheduler::collectMetrics() const
     }
     for (const auto &w : workers_)
         merged.merge(w->metrics());
-    if (options_.self_heal.cluster)
-        merged.merge(options_.self_heal.cluster->metrics());
     return merged;
 }
 
-} // namespace dsi::sched
+} // namespace dsi::dpp

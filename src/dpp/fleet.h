@@ -1,6 +1,7 @@
 /**
  * @file
- * Multi-tenant DPP fleet scheduler (Sections IV-B, VI-C).
+ * The DPP control plane: a multi-tenant fleet scheduler (Sections
+ * III-B1, IV-B, VI-C).
  *
  * Production DPP is provisioned at *fleet* scope: hundreds of
  * concurrent training jobs share one pool of preprocessing workers,
@@ -8,8 +9,9 @@
  * exploratory ones. FleetScheduler is that control plane in miniature:
  * it multiplexes many concurrent sessions — each with its own Master,
  * exactly-once DeliveryLedger, and transform program — over a single
- * shared, auto-scaled Worker pool, behind the same WorkSource
- * interface a single-session Master implements.
+ * shared, auto-scaled Worker pool, behind the WorkSource interface
+ * Workers pull splits through. It is the only control plane in the
+ * repo: InProcessSession (session.h) is a one-tenant FleetScheduler.
  *
  * Scheduling policy (per acquireSplit call, two passes):
  *
@@ -24,8 +26,9 @@
  *     (fleet.tenant.<id>.shed).
  *
  * When no tenant has pending work the fleet answers Standby — workers
- * stay alive through arrival gaps — and NoWork only once close() was
- * called and every tenant is done.
+ * stay alive through arrival gaps and while other workers' splits are
+ * still in flight (a failure may requeue them) — and NoWork only once
+ * close() was called and every tenant is done.
  *
  * **Preemption.** When a tenant is starved below its reserved quota
  * and no worker is idle, the fleet picks a worker holding a
@@ -35,25 +38,27 @@
  * replay overlap), and launches a replacement worker whose first polls
  * the quota pass routes to the starved tenant.
  *
- * **Fault tolerance.** The fleet runs its own heartbeat leases (every
- * acquireSplit / popTensor renews): a silent worker holding grants is
- * declared dead, failWorker() requeues its splits on every tenant
- * Master it served, and a replacement joins the pool — the replacement
- * is a fresh process, but the requeued splits carry each Master's
- * delivered-stripe watermark, so it re-extracts only undelivered
- * tails. Exactly-once delivery is preserved per tenant by each
- * tenant's DeliveryLedger.
+ * **Fault tolerance.** The fleet runs the heartbeat leases (every
+ * acquireSplit / heartbeat renews; a Master has no lease monitor,
+ * since one worker serves many Masters): a silent worker holding
+ * grants is declared dead, failWorker() requeues its splits on every
+ * tenant Master it served, and a replacement joins the pool — the
+ * replacement is a fresh process, but the requeued splits carry each
+ * Master's delivered-stripe watermark, so it re-extracts only
+ * undelivered tails. Every tick also runs each Master's per-split
+ * deadline sweep. Exactly-once delivery is preserved per tenant by
+ * each tenant's DeliveryLedger.
  *
  * **Whole-fleet recovery.** With FleetOptions::recovery attached,
  * every tenant Master journals durable checkpoints (its state + its
  * ledger) to the storage cluster at `<journal_base>.t<tenant_id>`.
- * After control-plane death, a successor fleet built with
- * `recovery.recover` restores each tenant as it is re-admitted:
- * in-flight splits of the dead incarnation requeue (resuming past
- * delivered stripes), attempts are not double-charged, and replayed
- * batches are suppressed by the restored ledger. Tenants must be
- * re-admitted in their original order (ids — and thus journal names —
- * are assigned sequentially).
+ * After control-plane death (requestHalt(), or destroying the fleet),
+ * a successor fleet built with `recovery.recover` restores each tenant
+ * as it is re-admitted: in-flight splits of the dead incarnation
+ * requeue (resuming past delivered stripes), attempts are not
+ * double-charged, and replayed batches are suppressed by the restored
+ * ledger. Tenants must be re-admitted in their original order (ids —
+ * and thus journal names — are assigned sequentially).
  *
  * **Observability.** Per-tenant counters fleet.tenant.<id>.granted /
  * .shed / .preempted; grant-latency percentiles per tenant; a
@@ -65,13 +70,15 @@
  * Thread safety: the WorkSource surface accepts concurrent calls from
  * every worker thread (guarded by one fleet mutex; lock order is
  * always fleet -> master, never the reverse). The pool-management /
- * driver surface (tick, run, addTenant, workerAt) is single-threaded:
- * exactly one driver thread, the same one that constructed the fleet.
+ * driver surface (tick, run, addTenant, failWorkerAt, workerAt) is
+ * single-threaded: exactly one driver thread, the same one that
+ * constructed the fleet. requestHalt() is safe from any thread.
  */
 
-#ifndef DSI_SCHED_DPP_FLEET_H
-#define DSI_SCHED_DPP_FLEET_H
+#ifndef DSI_DPP_FLEET_H
+#define DSI_DPP_FLEET_H
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -82,12 +89,10 @@
 
 #include "common/stats.h"
 #include "dpp/autoscaler.h"
-#include "dpp/client.h"
 #include "dpp/master.h"
-#include "dpp/session.h"
 #include "dpp/worker.h"
 
-namespace dsi::sched {
+namespace dsi::dpp {
 
 /** Training-job class, in ascending scheduling priority (Fig. 4). */
 enum class JobClass : uint8_t
@@ -123,25 +128,26 @@ struct TenantOptions
     uint32_t max_inflight = 0;
 };
 
-/** Fleet-wide pool auto-scaling knobs (same controller as sessions). */
-struct FleetAutoScaleOptions
+/**
+ * Span tracing for a run. Tracing also turns on when the DSI_TRACE
+ * environment variable is set (any value but "0").
+ */
+struct TraceOptions
 {
     bool enabled = false;
-    dpp::AutoScalerConfig scaler;
-    double interval_s = 0.02; ///< clock seconds between evaluations
 };
 
 /** Fleet configuration. */
 struct FleetOptions
 {
     uint32_t initial_workers = 4;
-    dpp::WorkerOptions worker;
+    WorkerOptions worker;
 
     /**
-     * Fleet heartbeat lease (seconds; 0 disables): a worker holding
-     * grants that has not called in within the budget is declared
-     * dead, its splits requeue on every tenant it served, and a
-     * stateless replacement joins the pool.
+     * Heartbeat lease (seconds; 0 disables): a worker holding grants
+     * that has not called in within the budget is declared dead, its
+     * splits requeue on every tenant it served, and a stateless
+     * replacement joins the pool.
      */
     double lease_timeout = 0.0;
 
@@ -149,31 +155,23 @@ struct FleetOptions
     uint32_t max_split_attempts = 3;
 
     /** Admission control applied to every tenant Master. */
-    dpp::AdmissionOptions admission;
+    AdmissionOptions admission;
 
     /** Class-priority preemption of over-share workers (see file doc). */
     bool preemption = true;
 
     /** Shared-pool auto-scaling (off by default). */
-    FleetAutoScaleOptions autoscale;
+    AutoScaleOptions autoscale;
 
     /** Pipeline-wide span tracing for run() (off by default). */
-    bool trace = false;
+    TraceOptions trace;
 
     /**
      * Durable per-tenant checkpointing / whole-fleet crash recovery
      * (off by default; see the file doc). Each tenant journals to
      * `<recovery.journal_base>.t<tenant_id>` on `recovery.cluster`.
      */
-    dpp::RecoveryOptions recovery;
-
-    /**
-     * Background storage scrubbing/repair (off by default). The fleet
-     * owns the healer for its whole lifetime: started at
-     * construction, stopped (joined) at destruction — a fleet is the
-     * long-lived resident service, unlike a session's scoped run().
-     */
-    dpp::SelfHealOptions self_heal;
+    RecoveryOptions recovery;
 };
 
 /** One tenant's aggregate outcome / live accounting. */
@@ -198,20 +196,24 @@ struct FleetResult
 {
     uint64_t tensors_delivered = 0;
     uint64_t rows_delivered = 0;
-    uint64_t worker_failures = 0; ///< lease-expired / crashed
+    uint64_t worker_failures = 0; ///< injected, lease-expired, crashed
     uint64_t workers_launched = 0;
     uint64_t workers_drained = 0;
     uint64_t preemptions = 0;
+    uint64_t deadline_expirations = 0; ///< splits requeued on budget
+    /** Every worker's totals, replaced and retired workers included. */
+    dwrf::ReadStats read_stats;
+    transforms::TransformStats transform_stats;
     std::map<TenantId, TenantStats> tenants;
 };
 
 /** The shared-pool, multi-session DPP control plane. */
-class FleetScheduler : public dpp::WorkSource
+class FleetScheduler : public WorkSource
 {
   public:
     /** Observes every delivered (deduped) tensor, per tenant. */
     using TensorSink =
-        std::function<void(TenantId, const dpp::TensorBatch &)>;
+        std::function<void(TenantId, const TensorBatch &)>;
 
     /** All tenants' data must live in `warehouse` (shared, as in
      * production). Launches `initial_workers` immediately. */
@@ -224,10 +226,11 @@ class FleetScheduler : public dpp::WorkSource
 
     /**
      * Admit a session mid-run (a training job arrived): builds its
-     * Master over the shared warehouse and makes its splits grantable
-     * on the next selection round. Returns the tenant id.
+     * Master over the shared warehouse (restoring it from its journal
+     * when recovery.recover is set) and makes its splits grantable on
+     * the next selection round. Returns the tenant id.
      */
-    TenantId addTenant(dpp::SessionSpec spec, TenantOptions opts = {});
+    TenantId addTenant(SessionSpec spec, TenantOptions opts = {});
 
     /** No further tenants will arrive: once every admitted tenant is
      * done, workers see NoWork instead of Standby and idle out. */
@@ -235,8 +238,8 @@ class FleetScheduler : public dpp::WorkSource
 
     // --- WorkSource (called concurrently by every worker thread) ---
     WorkerId registerWorker() override;
-    dpp::SplitGrant acquireSplit(WorkerId worker,
-                                 const dpp::WorkerLoad &load) override;
+    SplitGrant acquireSplit(WorkerId worker,
+                            const WorkerLoad &load) override;
     void completeSplit(WorkerId worker, TenantId tenant,
                        uint64_t split_id) override;
     void failSplit(WorkerId worker, TenantId tenant,
@@ -244,27 +247,53 @@ class FleetScheduler : public dpp::WorkSource
     void releaseSplit(WorkerId worker, TenantId tenant,
                       uint64_t split_id) override;
     void heartbeat(WorkerId worker) override;
-    const dpp::SessionSpec &tenantSpec(TenantId tenant) const override;
+    const SessionSpec &tenantSpec(TenantId tenant) const override;
     const dwrf::Buffer &tenantProgram(TenantId tenant) const override;
 
     // --- driver surface (single-threaded) ---
 
     /**
      * One cooperative scheduling round: pump every worker (sync mode),
-     * run housekeeping (leases, crash replacement, retirement,
-     * preemption, auto-scaling), and drain delivered tensors through
-     * the per-tenant ledgers into `sink`. Returns false once close()d,
-     * every tenant is done, and every worker drained. Benches drive
-     * tick() directly so they can admit tenants between rounds.
+     * run housekeeping (leases, crash replacement, deadline sweeps,
+     * retirement, preemption, auto-scaling), drain every worker's
+     * delivered tensors through the per-tenant ledgers into `sink`,
+     * and write due periodic checkpoints. Returns false once halted,
+     * or once close()d with every tenant done and every worker
+     * drained. Benches drive tick() directly so they can admit
+     * tenants between rounds.
      */
     bool tick(const TensorSink &sink = nullptr);
 
     /**
      * Drive the fleet to completion (calls close() if the caller has
      * not): loops tick() — starting every worker's pipeline first in
-     * parallel mode — until nothing remains, then reports.
+     * parallel mode — until nothing remains or requestHalt(), then
+     * reports. `fail_after_splits`, if nonzero, kills the worker at
+     * pool index 0 once that many splits completed (fault-tolerance
+     * exercise).
      */
-    FleetResult run(TensorSink sink = nullptr);
+    FleetResult run(TensorSink sink = nullptr,
+                    uint64_t fail_after_splits = 0);
+
+    /**
+     * Simulate whole-control-plane death: no batch is delivered after
+     * this call, and run() stops its loop and returns without
+     * completing (in-flight splits stay incomplete; buffered tensors
+     * are lost exactly as a real crash loses them). A successor built
+     * with RecoveryOptions::recover picks the stream back up from the
+     * journals. Safe from the sink and from any thread.
+     */
+    void requestHalt() { halt_requested_ = true; }
+
+    /** True once requestHalt() was called. */
+    bool halted() const { return halt_requested_; }
+
+    /**
+     * Kill the worker at pool index `i` (its pipeline threads are
+     * stopped, its buffer is lost, its splits requeue on every tenant
+     * Master) and start a stateless replacement.
+     */
+    void failWorkerAt(size_t i);
 
     /** Injectable clock for leases / latency / autoscale (tests). Set
      * before the first tick; seconds, monotonic. */
@@ -272,21 +301,30 @@ class FleetScheduler : public dpp::WorkSource
 
     bool finished() const;
 
-    dpp::SessionProgress tenantProgress(TenantId tenant) const;
+    SessionProgress tenantProgress(TenantId tenant) const;
     TenantStats tenantStats(TenantId tenant) const;
     size_t tenantCount() const;
+    Master &tenantMaster(TenantId tenant);
+    DeliveryLedger &tenantLedger(TenantId tenant);
 
     size_t workerCount() const { return workers_.size(); }
-    dpp::Worker &workerAt(size_t i) { return *workers_.at(i); }
+    Worker &workerAt(size_t i) { return *workers_.at(i); }
+
+    /** Every scaling evaluation the pool's controller made. */
+    const std::vector<ScalingEvent> &scalingLog() const
+    {
+        return scaling_log_;
+    }
 
     /** Fleet-level registry (fleet.tenant.<id>.granted/shed/preempted,
      * fleet.preemptions, fleet.workers_launched, ...). */
     const Metrics &metrics() const { return metrics_; }
 
-    /** Fleet + every Master + every live worker, merged. */
+    /** Fleet + every Master + every worker (retired ones too), merged. */
     Metrics collectMetrics() const;
 
-    /** The trace collected by the last run() (with options.trace). */
+    /** The trace collected by the last run() (with options.trace or
+     * DSI_TRACE). */
     const std::vector<trace::TraceEvent> &traceEvents() const
     {
         return trace_events_;
@@ -297,8 +335,8 @@ class FleetScheduler : public dpp::WorkSource
     {
         TenantId id = 0;
         TenantOptions opts;
-        std::unique_ptr<dpp::Master> master;
-        dpp::DeliveryLedger ledger; ///< per-tenant exactly-once
+        std::unique_ptr<Master> master;
+        DeliveryLedger ledger; ///< per-tenant exactly-once
         PercentileSampler grant_latency;
         /** clock_() when the tenant last became pending-but-ungranted;
          * < 0 while it has no ungranted demand. */
@@ -314,27 +352,36 @@ class FleetScheduler : public dpp::WorkSource
         uint64_t rows_delivered = 0;
     };
 
+    TenantState &tenantLocked(TenantId tenant) const;
     /** Register `worker` with the tenant's Master on first contact. */
     WorkerId masterIdLocked(TenantState &st, WorkerId worker);
+    /** Forget `worker`'s grant of (tenant, split), if it still holds
+     * it (a deadline sweep may have re-granted it to another worker). */
+    void dropGrantLocked(TenantId tenant, uint64_t split_id,
+                         WorkerId worker);
     /** Requeue every split `worker` holds, on every tenant Master. */
     void failWorkerLocked(WorkerId worker);
     bool workerHoldsGrantsLocked(WorkerId worker) const;
     TenantStats tenantStatsLocked(const TenantState &st) const;
     void launchWorker();
+    /** Stop worker `i` and keep its metrics and stats. */
+    void retireWorkerAt(size_t i);
     void replaceWorkerAt(size_t i);
 
     // Housekeeping (driver thread).
     bool expireFleetLeases();
     bool replaceCrashedWorkers();
+    void expireDeadlines();
     bool retireDrainedWorkers();
     bool maybePreempt();
     void maybeAutoscale();
-    uint64_t drainOnce(const TensorSink &sink);
+    void drainOnce(const TensorSink &sink);
 
     const warehouse::Warehouse &warehouse_;
     FleetOptions options_;
     bool parallel_ = false;
     bool running_parallel_ = false;
+    std::atomic<bool> halt_requested_{false};
 
     mutable std::mutex mutex_; ///< guards all scheduler state below
     std::map<TenantId, std::unique_ptr<TenantState>> tenants_;
@@ -351,6 +398,7 @@ class FleetScheduler : public dpp::WorkSource
     uint64_t workers_launched_ = 0;
     uint64_t workers_drained_ = 0;
     uint64_t preemptions_ = 0;
+    uint64_t deadline_expirations_ = 0;
     Metrics metrics_;
 
     std::function<double()> clock_;
@@ -358,17 +406,20 @@ class FleetScheduler : public dpp::WorkSource
     // Pool state: driver thread only (never touched by worker threads;
     // workers reach the fleet exclusively through the WorkSource
     // surface above).
-    std::vector<std::unique_ptr<dpp::Worker>> workers_;
-    /** Metrics of replaced / retired workers, folded at removal so
-     * collectMetrics() still accounts for their work. */
+    std::vector<std::unique_ptr<Worker>> workers_;
+    /** Metrics and stats of replaced / retired workers, folded at
+     * removal so results and collectMetrics() still count their work. */
     Metrics retired_metrics_;
-    std::unique_ptr<dpp::AutoScaler> scaler_;
+    dwrf::ReadStats retired_read_stats_;
+    transforms::TransformStats retired_transform_stats_;
+    std::unique_ptr<AutoScaler> scaler_;
+    std::vector<ScalingEvent> scaling_log_;
     double last_eval_ = 0.0;
     uint64_t last_delivered_ = 0;
     double last_supplied_ = 0.0;
     std::vector<trace::TraceEvent> trace_events_;
 };
 
-} // namespace dsi::sched
+} // namespace dsi::dpp
 
-#endif // DSI_SCHED_DPP_FLEET_H
+#endif // DSI_DPP_FLEET_H

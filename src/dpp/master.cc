@@ -114,7 +114,7 @@ MasterCheckpoint::deserialize(dwrf::ByteSpan data)
 }
 
 Master::Master(const warehouse::Warehouse &warehouse, SessionSpec spec)
-    : spec_(std::move(spec)), clock_(steadySeconds)
+    : spec_(std::move(spec))
 {
     enumerateSplits(warehouse);
     for (uint64_t i = 0; i < splits_.size(); ++i)
@@ -170,16 +170,8 @@ Master::registerWorker()
     std::scoped_lock lock(mutex_);
     WorkerId id = next_worker_++;
     live_workers_.insert(id);
-    last_heartbeat_[id] = clock_();
     metrics_.inc("master.workers_registered");
     return id;
-}
-
-void
-Master::touchLocked(WorkerId worker)
-{
-    if (live_workers_.count(worker))
-        last_heartbeat_[worker] = clock_();
 }
 
 SplitGrant
@@ -188,7 +180,7 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     std::scoped_lock lock(mutex_);
     SplitGrant grant;
     if (!live_workers_.count(worker)) {
-        // A zombie (lease-expired or manually failed) asking for more
+        // A zombie (declared dead by the control plane) asking for more
         // work: its old splits are already requeued, so feeding it
         // would double-process rows. Starve it instead.
         metrics_.inc("master.stale_requests");
@@ -197,7 +189,6 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
         grant.status = GrantStatus::Rejected;
         return grant;
     }
-    touchLocked(worker);
     if (pending_.empty()) {
         // Checked before admission so a saturated worker still
         // observes end-of-work and can finish its drain.
@@ -226,7 +217,7 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
     inflight_.emplace(split_id, worker);
     if (admission_.split_deadline_s > 0.0) {
         deadline_at_[split_id] =
-            clock_() + admission_.split_deadline_s;
+            steadySeconds() + admission_.split_deadline_s;
         grant.deadline = Deadline::after(admission_.split_deadline_s);
     }
     metrics_.inc("master.splits_assigned");
@@ -273,7 +264,6 @@ void
 Master::releaseSplit(WorkerId worker, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    touchLocked(worker);
     auto it = inflight_.find(split_id);
     if (it == inflight_.end() || it->second != worker) {
         metrics_.inc("master.stale_releases");
@@ -294,7 +284,7 @@ Master::expireDeadlines()
     std::scoped_lock lock(mutex_);
     if (admission_.split_deadline_s <= 0.0)
         return 0;
-    double now = clock_();
+    double now = steadySeconds();
     uint64_t expired = 0;
     for (auto it = deadline_at_.begin(); it != deadline_at_.end();) {
         uint64_t split_id = it->first;
@@ -347,12 +337,11 @@ void
 Master::completeSplit(WorkerId worker, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    touchLocked(worker);
     auto it = inflight_.find(split_id);
     if (it == inflight_.end() || it->second != worker) {
-        // Stale: the split was requeued (lease expiry) or finished by
-        // its new owner. The ledger on the client side deduplicates
-        // any rows the zombie already delivered.
+        // Stale: the split was requeued (worker declared dead, or
+        // deadline expired) or finished by its new owner. The control
+        // plane's ledger deduplicates any rows the zombie delivered.
         metrics_.inc("master.stale_completions");
         return;
     }
@@ -370,7 +359,6 @@ void
 Master::failSplit(WorkerId worker, uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    touchLocked(worker);
     auto it = inflight_.find(split_id);
     if (it == inflight_.end() || it->second != worker) {
         metrics_.inc("master.stale_failures");
@@ -398,14 +386,7 @@ void
 Master::failWorker(WorkerId worker)
 {
     std::scoped_lock lock(mutex_);
-    failWorkerLocked(worker);
-}
-
-void
-Master::failWorkerLocked(WorkerId worker)
-{
     live_workers_.erase(worker);
-    last_heartbeat_.erase(worker);
     // Stateless Workers: just requeue whatever they were processing.
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second == worker) {
@@ -419,55 +400,6 @@ Master::failWorkerLocked(WorkerId worker)
         }
     }
     metrics_.inc("master.workers_failed");
-}
-
-void
-Master::setLeaseTimeout(double seconds)
-{
-    std::scoped_lock lock(mutex_);
-    lease_timeout_ = seconds;
-}
-
-void
-Master::setClock(std::function<double()> clock)
-{
-    std::scoped_lock lock(mutex_);
-    clock_ = std::move(clock);
-}
-
-void
-Master::heartbeat(WorkerId worker)
-{
-    std::scoped_lock lock(mutex_);
-    touchLocked(worker);
-}
-
-std::vector<WorkerId>
-Master::expireLeases()
-{
-    std::scoped_lock lock(mutex_);
-    std::vector<WorkerId> expired;
-    if (lease_timeout_ <= 0.0)
-        return expired;
-    double now = clock_();
-    // Only workers holding in-flight splits can lose a lease: an idle
-    // worker has nothing to recover, and draining workers legitimately
-    // go quiet once the split queue empties.
-    std::set<WorkerId> holding;
-    for (const auto &[split_id, w] : inflight_)
-        holding.insert(w);
-    for (WorkerId w : holding) {
-        auto hb = last_heartbeat_.find(w);
-        double last = hb == last_heartbeat_.end() ? 0.0 : hb->second;
-        if (now - last > lease_timeout_)
-            expired.push_back(w);
-    }
-    for (WorkerId w : expired) {
-        dsi_warn("worker %u lease expired; requeueing its splits", w);
-        failWorkerLocked(w);
-        metrics_.inc("master.leases_expired");
-    }
-    return expired;
 }
 
 void
@@ -526,7 +458,7 @@ Master::enableJournal(storage::TectonicCluster &cluster,
         cluster, std::move(base),
         JournalOptions{policy.keep_records});
     policy_ = policy;
-    last_checkpoint_at_ = clock_();
+    last_checkpoint_at_ = steadySeconds();
     deliveries_since_checkpoint_ = 0;
 }
 
@@ -567,7 +499,7 @@ Master::writeCheckpointLocked()
                    ledger_bytes.end());
 
     auto result = journal_->append(payload);
-    last_checkpoint_at_ = clock_();
+    last_checkpoint_at_ = steadySeconds();
     deliveries_since_checkpoint_ = 0;
     metrics_.inc("master.checkpoint.written");
     metrics_.inc("master.checkpoint.bytes",
@@ -593,7 +525,7 @@ Master::maybeCheckpoint()
     std::scoped_lock lock(mutex_);
     if (!journal_ || policy_.interval_s <= 0.0)
         return;
-    if (clock_() - last_checkpoint_at_ >= policy_.interval_s)
+    if (steadySeconds() - last_checkpoint_at_ >= policy_.interval_s)
         writeCheckpointLocked();
 }
 

@@ -16,16 +16,20 @@
  * RPC server of a production Master would.
  *
  * A Master is a single-tenant WorkSource (work_source.h): Workers
- * wired straight to a Master see every grant tagged tenant 0. Fleet
- * deployments put a sched::FleetScheduler in front of many Masters
- * instead.
+ * wired straight to a Master see every grant tagged tenant 0, as the
+ * trainer model and the unit tests do. The control plane
+ * (FleetScheduler, fleet.h — an InProcessSession is a one-tenant
+ * fleet) puts itself in front of one Master per session. Liveness is
+ * the control plane's job: a Master has no lease monitor (one worker
+ * serves many Masters, so the fleet keeps the leases); it learns of
+ * a dead worker through failWorker() and afterwards rejects that
+ * worker's requests as a zombie's.
  */
 
 #ifndef DSI_DPP_MASTER_H
 #define DSI_DPP_MASTER_H
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -113,7 +117,7 @@ struct CheckpointPolicy
 
 /**
  * Durable control-plane checkpointing + crash recovery (off by
- * default), consumed by InProcessSession and sched::FleetScheduler.
+ * default), consumed by FleetScheduler (and so by InProcessSession).
  * With a cluster attached, each Master journals versioned checkpoints
  * (its own state + its delivery ledger) per the policy; with
  * `recover` set, a freshly built control plane restores Master and
@@ -277,33 +281,14 @@ class Master : public WorkSource
     }
 
     /**
-     * The health monitor declares a Worker dead: its in-flight splits
-     * return to the pending queue for other Workers.
+     * The control plane declares a Worker dead: its in-flight splits
+     * return to the pending queue for other Workers, and its later
+     * requests are rejected as a zombie's.
      */
     void failWorker(WorkerId worker);
 
-    // --- lease-based failure detection ---
-
-    /**
-     * Enable heartbeat leases: a worker holding in-flight splits that
-     * has not heartbeated within `seconds` is declared dead by the
-     * next expireLeases() call. 0 disables (manual failWorker only).
-     */
-    void setLeaseTimeout(double seconds);
-
-    /** Override the clock (tests inject a fake time source). */
-    void setClock(std::function<double()> clock);
-
-    /** Liveness signal from a worker's data-plane activity. */
-    void heartbeat(WorkerId worker) override;
-
-    /**
-     * Expire leases of silent workers that hold in-flight splits,
-     * requeueing their work. Returns the expired workers so the
-     * session can replace them. Idle workers (nothing in flight) are
-     * never expired — there is no work to recover from them.
-     */
-    std::vector<WorkerId> expireLeases();
+    /** No-op: leases are the control plane's (see file doc). */
+    void heartbeat(WorkerId) override {}
 
     /** Total attempts a split gets before it is marked failed. */
     void setMaxSplitAttempts(uint32_t attempts);
@@ -378,8 +363,6 @@ class Master : public WorkSource
 
   private:
     void enumerateSplits(const warehouse::Warehouse &warehouse);
-    void failWorkerLocked(WorkerId worker);
-    void touchLocked(WorkerId worker);
     /** Close the split's master.grant span, if one is open. */
     void endGrantSpanLocked(uint64_t split_id);
     MasterCheckpoint checkpointLocked() const;
@@ -396,15 +379,12 @@ class Master : public WorkSource
     std::set<uint64_t> completed_;
     std::set<uint64_t> failed_;                 ///< attempts exhausted
     std::map<uint64_t, uint32_t> attempts_;     ///< split -> failures
-    std::map<uint64_t, double> deadline_at_;    ///< split -> clock_()
+    std::map<uint64_t, double> deadline_at_;    ///< split -> expiry (s)
     std::map<uint64_t, trace::SpanId> grant_spans_; ///< open grants
     AdmissionOptions admission_;
     uint32_t max_split_attempts_ = 3;
     WorkerId next_worker_ = 0;
     std::set<WorkerId> live_workers_;
-    std::map<WorkerId, double> last_heartbeat_;
-    double lease_timeout_ = 0.0; ///< 0 = leases disabled
-    std::function<double()> clock_;
 
     // Durable checkpointing (all guarded by mutex_; the journal is
     // not thread-safe and is serialized here). Lock order:

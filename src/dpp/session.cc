@@ -1,21 +1,27 @@
 #include "session.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "common/logging.h"
 
 namespace dsi::dpp {
 
 namespace {
 
-double
-steadySeconds()
+FleetOptions
+fleetOptions(const SessionOptions &o)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    dsi_assert(o.workers >= 1, "session needs >= 1 worker");
+    dsi_assert(o.clients >= 1, "session needs >= 1 client");
+    FleetOptions f;
+    f.initial_workers = o.workers;
+    f.worker = o.worker;
+    f.lease_timeout = o.lease_timeout;
+    f.max_split_attempts = o.max_split_attempts;
+    f.admission = o.admission;
+    f.preemption = false; // one tenant: nobody to preempt for
+    f.autoscale = o.autoscale;
+    f.trace = o.trace;
+    f.recovery = o.recovery;
+    return f;
 }
 
 } // namespace
@@ -23,381 +29,52 @@ steadySeconds()
 InProcessSession::InProcessSession(const warehouse::Warehouse &warehouse,
                                    SessionSpec spec,
                                    SessionOptions options)
-    : warehouse_(warehouse), options_(options)
+    : options_(options), fleet_(warehouse, fleetOptions(options))
 {
-    dsi_assert(options_.workers >= 1, "session needs >= 1 worker");
-    dsi_assert(options_.clients >= 1, "session needs >= 1 client");
-    master_ = std::make_unique<Master>(warehouse_, std::move(spec));
-    master_->setMaxSplitAttempts(options_.max_split_attempts);
-    master_->setAdmission(options_.admission);
-    if (options_.lease_timeout > 0)
-        master_->setLeaseTimeout(options_.lease_timeout);
-    if (options_.recovery.cluster != nullptr) {
-        // The ledger snapshot rides in every journal record, so
-        // exactly-once delivery survives whole-control-plane death.
-        master_->setLedger(&ledger_);
-        master_->enableJournal(*options_.recovery.cluster,
-                               options_.recovery.journal_base,
-                               options_.recovery.policy);
-        if (options_.recovery.recover)
-            master_->recoverFromJournal();
-    }
-    if (options_.autoscale.enabled) {
-        scaler_ =
-            std::make_unique<AutoScaler>(options_.autoscale.scaler);
-        last_eval_ = steadySeconds();
-    }
-    for (uint32_t w = 0; w < options_.workers; ++w) {
-        workers_.push_back(std::make_unique<Worker>(
-            *master_, warehouse_, options_.worker));
-    }
-    rebuildClients();
-}
-
-void
-InProcessSession::rebuildClients()
-{
-    clients_.clear();
-    std::vector<Worker *> pool;
-    pool.reserve(workers_.size());
-    for (auto &w : workers_)
-        pool.push_back(w.get());
-    for (uint32_t c = 0; c < options_.clients; ++c) {
-        clients_.push_back(std::make_unique<Client>(
-            c, options_.clients, pool, options_.client, &ledger_));
-    }
-}
-
-void
-InProcessSession::replaceWorker(size_t i)
-{
-    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    // Stop the victim's pipeline threads first so none of them calls
-    // into the Master after the health monitor declares it dead.
-    // (Idempotent — a crashed worker's threads already quiesced.)
-    workers_[i]->stop();
-    ++failures_;
-    // Stateless restart: a fresh worker replaces it (no checkpoint).
-    workers_[i] = std::make_unique<Worker>(*master_, warehouse_,
-                                           options_.worker);
-    if (running_parallel_)
-        workers_[i]->start();
-    rebuildClients();
-}
-
-void
-InProcessSession::injectWorkerFailure(size_t i)
-{
-    dsi_assert(i < workers_.size(), "no worker at index %zu", i);
-    workers_[i]->stop();
-    // Health monitor notices; in-flight splits requeue. The dead
-    // worker's buffered (unserved) tensors are lost with it.
-    master_->failWorker(workers_[i]->id());
-    replaceWorker(i);
-}
-
-bool
-InProcessSession::checkLeases()
-{
-    if (options_.lease_timeout <= 0)
-        return false;
-    auto expired = master_->expireLeases();
-    if (expired.empty())
-        return false;
-    // expireLeases already requeued the dead workers' splits; here we
-    // just swap in replacements (matching pool slot by WorkerId).
-    bool replaced = false;
-    for (WorkerId dead : expired) {
-        for (size_t i = 0; i < workers_.size(); ++i) {
-            if (workers_[i]->id() == dead) {
-                replaceWorker(i);
-                replaced = true;
-                break;
-            }
-        }
-    }
-    return replaced;
-}
-
-void
-InProcessSession::maybeAutoscale(const SessionResult &result)
-{
-    if (!scaler_)
-        return;
-    double now = steadySeconds();
-    double dt = now - last_eval_;
-    if (dt < options_.autoscale.interval_s)
-        return;
-    last_eval_ = now;
-
-    ScalingEvent ev;
-    double supplied = 0.0;
-    for (auto &w : workers_) {
-        supplied += w->metrics().counter("worker.tensors");
-        // Draining victims are leaving the pool; they are not part of
-        // the capacity the controller reasons about.
-        if (!w->draining() && !w->crashed())
-            ev.reports.push_back(w->report());
-    }
-    ev.demand_rate =
-        (static_cast<double>(result.tensors_delivered) -
-         static_cast<double>(last_delivered_)) /
-        dt;
-    // Worker replacement resets counters; clamp the window delta.
-    ev.supply_rate = std::max(0.0, (supplied - last_supplied_) / dt);
-    last_delivered_ = result.tensors_delivered;
-    last_supplied_ = supplied;
-    ev.decision =
-        scaler_->evaluate(ev.reports, ev.demand_rate, ev.supply_rate);
-
-    if (ev.decision.delta > 0) {
-        // Launch: stateless workers join the split pool immediately.
-        for (int64_t i = 0; i < ev.decision.delta; ++i) {
-            workers_.push_back(std::make_unique<Worker>(
-                *master_, warehouse_, options_.worker));
-            if (running_parallel_)
-                workers_.back()->start();
-            ++workers_launched_;
-        }
-        rebuildClients();
-    } else if (ev.decision.delta < 0) {
-        // Graceful drain: victims stop acquiring splits, finish and
-        // deliver everything held, and are retired by
-        // retireDrainedWorkers() once empty. Nothing is abandoned.
-        int64_t to_drain = -ev.decision.delta;
-        for (auto it = workers_.rbegin();
-             it != workers_.rend() && to_drain > 0; ++it) {
-            if ((*it)->draining() || (*it)->crashed())
-                continue;
-            (*it)->beginDrain();
-            --to_drain;
-        }
-    }
-    scaling_log_.push_back(std::move(ev));
-}
-
-bool
-InProcessSession::retireDrainedWorkers()
-{
-    if (!scaler_)
-        return false;
-    bool removed = false;
-    for (size_t i = 0; i < workers_.size();) {
-        if (workers_[i]->draining() && workers_[i]->drained() &&
-            workers_.size() > 1) {
-            foldWorkerStats(*workers_[i]);
-            workers_[i]->stop();
-            workers_.erase(workers_.begin() +
-                           static_cast<ptrdiff_t>(i));
-            ++workers_drained_;
-            removed = true;
-        } else {
-            ++i;
-        }
-    }
-    if (removed)
-        rebuildClients();
-    return removed;
-}
-
-uint64_t
-InProcessSession::drainClients(SessionResult &result, TensorSink &sink)
-{
-    uint64_t delivered = 0;
-    for (auto &c : clients_) {
-        for (;;) {
-            auto tensor = c->next();
-            if (!tensor)
-                break;
-            ++delivered;
-            ++result.tensors_delivered;
-            result.rows_delivered += tensor->data.rows;
-            result.tensor_bytes += tensor->bytes;
-            // Feed the Master's resume watermark and the
-            // per-delivery checkpoint trigger. The claim is already
-            // durable in the ledger snapshot of the *next* record.
-            if (tensor->last_in_stripe)
-                master_->noteStripeDelivered(tensor->split_id,
-                                             tensor->stripe);
-            master_->noteDelivery();
-            if (sink)
-                sink(c->id(), *tensor);
-        }
-    }
-    return delivered;
+    fleet_.addTenant(std::move(spec));
 }
 
 SessionResult
 InProcessSession::run(TensorSink sink, uint64_t fail_after_splits)
 {
-    bool tracing = options_.trace.enabled || trace::envEnabled();
-    if (tracing) {
-        // The log is process-wide; clearing at run start scopes this
-        // run's snapshot to its own events (and drops any buffered
-        // stragglers from a previous session's pool threads).
-        trace::TraceLog::instance().clear();
-        trace::TraceLog::instance().enable();
-    }
-    // The session owns the storage healer for the duration of the
-    // run: scrub/repair proceed concurrently with training reads and
-    // the thread is joined before run() returns.
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->startHealer(
-            options_.self_heal.heal);
-    SessionResult result =
-        (options_.worker.num_extract_threads > 0 ||
-         options_.worker.num_transform_threads > 0)
-            ? runParallel(std::move(sink), fail_after_splits)
-            : runSynchronous(std::move(sink), fail_after_splits);
-    if (options_.self_heal.cluster)
-        options_.self_heal.cluster->stopHealer();
-    if (tracing) {
-        trace::TraceLog::instance().disable();
-        trace_events_ = trace::TraceLog::instance().snapshot();
-    }
+    SessionResult result;
+    uint64_t dealt = 0;
+    auto deliver = [&](TenantId, const TensorBatch &t) {
+        result.tensor_bytes += t.bytes;
+        if (sink)
+            sink(static_cast<ClientId>(dealt++ % options_.clients), t);
+    };
+    // The storage healer runs for the duration of the run: scrub and
+    // repair proceed concurrently with training reads, and the thread
+    // is joined before run() returns.
+    storage::TectonicCluster *heal = options_.self_heal.cluster;
+    if (heal)
+        heal->startHealer(options_.self_heal.heal);
+    FleetResult fr = fleet_.run(deliver, fail_after_splits);
+    if (heal)
+        heal->stopHealer();
+
+    const TenantStats &tenant = fr.tenants.at(kTenant);
+    result.tensors_delivered = fr.tensors_delivered;
+    result.rows_delivered = fr.rows_delivered;
+    result.worker_failures = fr.worker_failures;
+    result.duplicates_suppressed = tenant.duplicates_suppressed;
+    result.splits_failed = tenant.splits_failed;
+    result.deadline_expirations = fr.deadline_expirations;
+    result.workers_launched = fr.workers_launched;
+    result.workers_drained = fr.workers_drained;
+    result.read_stats = fr.read_stats;
+    result.transform_stats = fr.transform_stats;
     return result;
 }
 
 Metrics
 InProcessSession::collectMetrics() const
 {
-    Metrics merged;
-    merged.merge(master_->metrics());
-    for (const auto &w : workers_)
-        merged.merge(w->metrics());
-    for (const auto &c : clients_)
-        merged.merge(c->metrics());
+    Metrics merged = fleet_.collectMetrics();
     if (options_.self_heal.cluster)
         merged.merge(options_.self_heal.cluster->metrics());
     return merged;
-}
-
-SessionResult
-InProcessSession::runSynchronous(TensorSink sink,
-                                 uint64_t fail_after_splits)
-{
-    SessionResult result;
-    bool failure_pending = fail_after_splits > 0;
-
-    for (;;) {
-        if (halt_requested_)
-            break; // control plane died; leave the wreckage as-is
-        // Data plane: every worker makes one unit of progress.
-        bool any_work = false;
-        for (auto &w : workers_)
-            any_work = w->pump() || any_work;
-
-        // Fault injection, once, after enough splits completed.
-        if (failure_pending &&
-            master_->progress().completed_splits >=
-                fail_after_splits) {
-            injectWorkerFailure(0);
-            failure_pending = false;
-            any_work = true;
-        }
-
-        // Control plane: replace workers whose lease expired (e.g. a
-        // crashed worker that stopped pumping and heartbeating),
-        // requeue splits that blew their deadline, and evaluate the
-        // scaling policy.
-        any_work = checkLeases() || any_work;
-        uint64_t expired = master_->expireDeadlines();
-        result.deadline_expirations += expired;
-        any_work = any_work || expired > 0;
-        maybeAutoscale(result);
-        any_work = retireDrainedWorkers() || any_work;
-
-        // Trainers: each client drains what is available.
-        bool any_tensor = drainClients(result, sink) > 0;
-
-        if (!any_work && !any_tensor) {
-            bool all_drained = true;
-            for (auto &w : workers_)
-                all_drained = all_drained && w->drained();
-            if (all_drained)
-                break;
-        }
-    }
-
-    return finishResult(result);
-}
-
-SessionResult
-InProcessSession::runParallel(TensorSink sink,
-                              uint64_t fail_after_splits)
-{
-    SessionResult result;
-    bool failure_pending = fail_after_splits > 0;
-
-    running_parallel_ = true;
-    for (auto &w : workers_)
-        w->start();
-
-    // The calling thread plays the trainer side: drain clients until
-    // every worker's pipeline has quiesced and its buffer is empty.
-    for (;;) {
-        if (halt_requested_) {
-            // Control-plane death mid-run: abort the worker pipelines
-            // (their buffered tensors die with them, like a real
-            // fleet losing its processes) and bail without finishing.
-            for (auto &w : workers_)
-                w->stop();
-            break;
-        }
-        if (failure_pending &&
-            master_->progress().completed_splits >=
-                fail_after_splits) {
-            injectWorkerFailure(0);
-            failure_pending = false;
-        }
-
-        checkLeases();
-        result.deadline_expirations += master_->expireDeadlines();
-        maybeAutoscale(result);
-        retireDrainedWorkers();
-
-        bool any_tensor = drainClients(result, sink) > 0;
-        if (!any_tensor) {
-            bool all_drained = true;
-            for (auto &w : workers_)
-                all_drained = all_drained && w->drained();
-            if (all_drained)
-                break;
-            std::this_thread::yield();
-        }
-    }
-    running_parallel_ = false;
-    // Pipelines have quiesced naturally; stop() just joins threads.
-    for (auto &w : workers_)
-        w->stop();
-
-    return finishResult(result);
-}
-
-void
-InProcessSession::foldWorkerStats(const Worker &w)
-{
-    retired_read_stats_.merge(w.readStats());
-    retired_transform_stats_.merge(w.transformStats());
-}
-
-SessionResult
-InProcessSession::finishResult(SessionResult result)
-{
-    dsi_assert(halt_requested_ || master_->progress().done(),
-               "session ended with incomplete splits");
-    result.worker_failures = failures_;
-    // Client metrics don't survive rebuildClients(); the ledger is
-    // the authoritative session-wide suppression count.
-    result.duplicates_suppressed = ledger_.duplicates();
-    result.splits_failed = master_->progress().failed_splits;
-    result.workers_launched = workers_launched_;
-    result.workers_drained = workers_drained_;
-    for (auto &w : workers_)
-        foldWorkerStats(*w);
-    result.read_stats = retired_read_stats_;
-    result.transform_stats = retired_transform_stats_;
-    return result;
 }
 
 } // namespace dsi::dpp

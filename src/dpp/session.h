@@ -1,69 +1,40 @@
 /**
  * @file
- * In-process DPP session orchestrator.
+ * In-process DPP session: one training job's Master, Worker pool and
+ * trainer delivery as one runnable pipeline over the warehouse — the
+ * functional counterpart of a production DPP deployment, used by
+ * examples, tests, and the functional benches.
  *
- * Wires a Master, a Worker pool, and per-trainer Clients into one
- * runnable pipeline over the warehouse — the functional counterpart
- * of a production DPP deployment, used by examples, tests, and the
- * functional benches. Supports mid-run Worker failure injection (the
- * Master's health monitor requeues in-flight splits and the session
- * launches a stateless replacement, as in Section III-B1).
+ * A session is a one-tenant FleetScheduler (fleet.h), the repo's only
+ * control plane: the constructor maps SessionOptions onto FleetOptions
+ * and admits the session's spec as tenant 0, and run() drives the
+ * fleet. Worker replacement, lease expiry, deadline sweeps, drain
+ * retirement, auto-scaling, journal attach, tracing scope and delivery
+ * all happen there. Mid-run Worker failure (injected or
+ * lease-expired) requeues the victim's in-flight splits and launches a
+ * stateless replacement, as in Section III-B1.
  *
  * Execution follows the Workers' mode (WorkerOptions in
  * SessionOptions::worker):
  *
  *  - Synchronous (default): run() cooperatively interleaves
- *    single-threaded Worker::pump() calls with client drains —
+ *    single-threaded Worker::pump() calls with delivery —
  *    deterministic, no threads.
  *  - Parallel (`num_extract_threads`/`num_transform_threads` > 0):
  *    run() start()s every Worker's pipeline threads and the calling
- *    thread becomes the trainer side, draining Clients until all
- *    Workers quiesce. Worker failure injection stops the victim's
- *    threads before the Master requeues its splits.
+ *    thread becomes the trainer side, delivering until all Workers
+ *    quiesce.
  */
 
 #ifndef DSI_DPP_SESSION_H
 #define DSI_DPP_SESSION_H
 
-#include <atomic>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "dpp/autoscaler.h"
-#include "dpp/client.h"
-#include "dpp/master.h"
-#include "dpp/worker.h"
+#include "dpp/fleet.h"
 
 namespace dsi::dpp {
-
-/**
- * Live auto-scaling knobs. When enabled, the session periodically
- * collects WorkerReports from the live pool, computes demand (tensors
- * delivered to trainers) and supply (tensors produced) rates over the
- * period, and applies the shared AutoScaler policy: positive deltas
- * launch stateless workers into the running session, negative deltas
- * gracefully drain victims (they finish and deliver everything held,
- * then retire) — the same controller sim_session simulates.
- */
-struct AutoScaleOptions
-{
-    bool enabled = false;
-    AutoScalerConfig scaler;
-
-    /** Wall-clock seconds between scaling evaluations. */
-    double interval_s = 0.02;
-};
-
-/**
- * Session tracing knobs. Tracing also turns on when the DSI_TRACE
- * environment variable is set (any value but "0").
- */
-struct TraceOptions
-{
-    bool enabled = false;
-};
 
 /**
  * Storage self-healing lifecycle. With a cluster attached, the
@@ -87,9 +58,13 @@ struct SelfHealOptions
 struct SessionOptions
 {
     uint32_t workers = 4;
+
+    /**
+     * Trainer endpoints. Delivered batches are dealt round-robin over
+     * them; the sink sees which one received each batch.
+     */
     uint32_t clients = 1;
     WorkerOptions worker;
-    ClientOptions client;
 
     /** Pipeline-wide span tracing for this run (off by default). */
     TraceOptions trace;
@@ -112,7 +87,10 @@ struct SessionOptions
     /** Live auto-scaling (off by default). */
     AutoScaleOptions autoscale;
 
-    /** Durable checkpointing / crash recovery (off by default). */
+    /**
+     * Durable checkpointing / crash recovery (off by default). The
+     * journal lives at `<recovery.journal_base>.t0`.
+     */
     RecoveryOptions recovery;
 
     /** Background storage scrubbing/repair (off by default). */
@@ -125,28 +103,14 @@ struct SessionResult
     uint64_t tensors_delivered = 0;
     uint64_t rows_delivered = 0;
     Bytes tensor_bytes = 0;
-    uint64_t worker_failures = 0; ///< injected + lease-expired
+    uint64_t worker_failures = 0; ///< injected, lease-expired, crashed
     uint64_t duplicates_suppressed = 0; ///< replayed batches dropped
     uint64_t splits_failed = 0; ///< splits that exhausted attempts
     uint64_t deadline_expirations = 0; ///< splits requeued on budget
     uint64_t workers_launched = 0; ///< added by live auto-scaling
     uint64_t workers_drained = 0;  ///< retired by live auto-scaling
-    dwrf::ReadStats read_stats;
+    dwrf::ReadStats read_stats;    ///< every worker's, replaced included
     transforms::TransformStats transform_stats;
-};
-
-/**
- * One live scaling evaluation: exactly what the controller saw and
- * what it decided. The log lets tests replay the same input stream
- * through a fresh AutoScaler (the sim_session path) and assert the
- * live session did not drift from the shared policy.
- */
-struct ScalingEvent
-{
-    std::vector<WorkerReport> reports;
-    double demand_rate = 0.0;
-    double supply_rate = 0.0;
-    ScalingDecision decision;
 };
 
 /** A runnable, fault-injectable DPP session. */
@@ -160,37 +124,29 @@ class InProcessSession
     InProcessSession(const warehouse::Warehouse &warehouse,
                      SessionSpec spec, SessionOptions options = {});
 
-    Master &master() { return *master_; }
+    Master &master() { return fleet_.tenantMaster(kTenant); }
 
-    /** The session-wide exactly-once ledger (tests inspect it). */
-    DeliveryLedger &ledger() { return ledger_; }
+    /** The session's exactly-once ledger (tests inspect it). */
+    DeliveryLedger &ledger() { return fleet_.tenantLedger(kTenant); }
 
-    /**
-     * Simulate whole-control-plane death: the next run() loop
-     * iteration stops pumping/draining and returns without completing
-     * the session (in-flight splits stay incomplete; buffered tensors
-     * are lost exactly as a real crash loses them). A successor
-     * session built with RecoveryOptions::recover picks the stream
-     * back up from the journal. Safe from the sink callback.
-     */
-    void requestHalt() { halt_requested_ = true; }
+    /** See FleetScheduler::requestHalt. Safe from the sink callback. */
+    void requestHalt() { fleet_.requestHalt(); }
 
     /** True when the last run() exited via requestHalt(). */
-    bool halted() const { return halt_requested_; }
+    bool halted() const { return fleet_.halted(); }
 
     /**
      * Kill worker at pool index `i` (its pipeline threads are
      * stopped, its buffer is lost, in-flight splits requeue) and
-     * start a stateless replacement. If the session is mid-run in
-     * parallel mode, the replacement's pipeline starts immediately.
+     * start a stateless replacement.
      */
-    void injectWorkerFailure(size_t i);
+    void injectWorkerFailure(size_t i) { fleet_.failWorkerAt(i); }
 
     /**
      * Drive the pipeline to completion: workers produce (pumped
      * cooperatively, or on their own threads in parallel mode) while
-     * clients drain. `sink` (optional) observes every delivered
-     * tensor — called only from the run() caller's thread.
+     * the calling thread delivers. `sink` (optional) observes every
+     * delivered tensor — called only from the run() caller's thread.
      * `fail_after_splits`, if nonzero, kills one worker after that
      * many splits complete (fault-tolerance exercise).
      */
@@ -200,7 +156,7 @@ class InProcessSession
     /** Every scaling evaluation the live controller made this run. */
     const std::vector<ScalingEvent> &scalingLog() const
     {
-        return scaling_log_;
+        return fleet_.scalingLog();
     }
 
     /**
@@ -211,68 +167,24 @@ class InProcessSession
      */
     const std::vector<trace::TraceEvent> &traceEvents() const
     {
-        return trace_events_;
+        return fleet_.traceEvents();
     }
 
     /**
-     * Merged metrics registry across the Master and the current
-     * worker and client pools — the bag MetricsExporter renders.
+     * Merged metrics registry across the fleet, the Master, every
+     * worker (replaced and retired ones included) and the healed
+     * cluster — the bag MetricsExporter renders.
      */
     Metrics collectMetrics() const;
 
     /** Current worker-pool size (drained victims already retired). */
-    size_t workerCount() const { return workers_.size(); }
+    size_t workerCount() const { return fleet_.workerCount(); }
 
   private:
-    void rebuildClients();
-    /**
-     * Periodic scaling evaluation (no-op unless autoscale.enabled and
-     * interval_s has elapsed): collect live reports, launch or drain.
-     */
-    void maybeAutoscale(const SessionResult &result);
-    /** Remove drained scale-down victims from the pool. */
-    bool retireDrainedWorkers();
-    /** Fold one worker's stats into the retired accumulators. */
-    void foldWorkerStats(const Worker &w);
-    /** Stop worker `i` and start a stateless replacement. */
-    void replaceWorker(size_t i);
-    /**
-     * Poll the Master's lease monitor; replace any expired worker.
-     * Returns true when at least one worker was replaced.
-     */
-    bool checkLeases();
-    SessionResult runSynchronous(TensorSink sink,
-                                 uint64_t fail_after_splits);
-    SessionResult runParallel(TensorSink sink,
-                              uint64_t fail_after_splits);
-    /** Fold totals + fault accounting into a run's result. */
-    SessionResult finishResult(SessionResult result);
-    /** Drain every client once; returns tensors delivered. */
-    uint64_t drainClients(SessionResult &result, TensorSink &sink);
+    static constexpr TenantId kTenant = 0;
 
-    const warehouse::Warehouse &warehouse_;
     SessionOptions options_;
-    std::unique_ptr<Master> master_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::unique_ptr<Client>> clients_;
-    DeliveryLedger ledger_; ///< session-wide exactly-once dedup
-    uint64_t failures_ = 0;
-    bool running_parallel_ = false;
-    std::atomic<bool> halt_requested_{false};
-    std::vector<trace::TraceEvent> trace_events_; ///< last run's trace
-
-    // Live auto-scaling state.
-    std::unique_ptr<AutoScaler> scaler_;
-    std::vector<ScalingEvent> scaling_log_;
-    double last_eval_ = 0.0;      ///< wall clock of last evaluation
-    uint64_t last_delivered_ = 0; ///< demand-rate window anchor
-    double last_supplied_ = 0.0;  ///< supply-rate window anchor
-    uint64_t workers_launched_ = 0;
-    uint64_t workers_drained_ = 0;
-    // Stats of retired (scaled-down) workers, folded at retirement so
-    // finishResult still accounts for every byte they processed.
-    dwrf::ReadStats retired_read_stats_;
-    transforms::TransformStats retired_transform_stats_;
+    FleetScheduler fleet_;
 };
 
 } // namespace dsi::dpp

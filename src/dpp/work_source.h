@@ -9,15 +9,17 @@
  * it asks "the control plane" for work and may be granted a split
  * from any session. WorkSource is that seam:
  *
- *  - A single-session deployment hands the Worker its Master directly
- *    (Master implements WorkSource with every tenant id = 0), so the
- *    classic InProcessSession wiring is unchanged.
- *  - A fleet deployment hands the Worker a sched::FleetScheduler,
- *    which multiplexes many Masters behind one WorkSource and tags
- *    each grant with the tenant it came from. The Worker routes every
+ *  - The control plane (FleetScheduler, fleet.h) hands the Worker
+ *    itself: it multiplexes one Master per session behind one
+ *    WorkSource and tags each grant with the tenant it came from. An
+ *    InProcessSession is a one-tenant fleet. The Worker routes every
  *    split-lifecycle call (complete / fail / release) back through
  *    the tenant id the grant carried, and fetches the per-tenant
- *    transform program / spec on demand.
+ *    transform program / spec on demand. The fleet also owns the
+ *    heartbeat leases.
+ *  - A bare Master is a WorkSource too (every tenant id = 0, heartbeat
+ *    a no-op): the trainer model and unit tests wire Workers straight
+ *    to one.
  *
  * Thread safety: implementations must accept concurrent calls from
  * many workers and the many extract threads inside each one, exactly

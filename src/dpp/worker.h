@@ -3,9 +3,9 @@
  * DPP data plane: the Worker (Section III-B1).
  *
  * Stateless and *tenant-agnostic*: a Worker only talks to its
- * WorkSource — a single session's Master, or a fleet scheduler
- * multiplexing many sessions — to fetch splits and per-tenant
- * transform programs, and to Clients (to serve tensors). Every grant
+ * WorkSource — the FleetScheduler multiplexing one or more sessions,
+ * or a bare Master — to fetch splits and per-tenant transform
+ * programs, and to whoever drains its buffer (to serve tensors). Every grant
  * names the tenant it belongs to; the Worker keys its split progress
  * by (tenant, split), compiles and caches one transform graph per
  * tenant per thread, and echoes the tenant on every lifecycle call,
@@ -179,7 +179,7 @@ class Worker
   public:
     /**
      * `control` is the control plane this worker pulls splits from: a
-     * Master (single session) or a FleetScheduler (many sessions).
+     * FleetScheduler (sessions and fleets), or a bare Master.
      * All tenants' data must live in `warehouse` (a fleet shares one
      * warehouse across its sessions, as production DPP does).
      */
@@ -263,7 +263,8 @@ class Worker
      * True once the worker.crash fault point fired on this worker.
      * A crashed worker stops producing, serves no tensors (its
      * buffered batches are lost), and no longer heartbeats — so its
-     * lease expires and the Master requeues its splits.
+     * fleet lease expires (or, without a lease, the fleet recycles it
+     * at once) and its splits requeue at their Masters.
      */
     bool crashed() const { return crashed_; }
 

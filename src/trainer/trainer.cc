@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "dpp/client.h"
 
 namespace dsi::trainer {
 

@@ -134,7 +134,7 @@ TEST_F(ChaosTest, WorkerCrashMidSplitRecoversExactlyOnce)
     log.expectExactlyOnce(kTotalRows);
     EXPECT_EQ(result.rows_delivered, kTotalRows);
     EXPECT_GE(
-        session.master().metrics().counter("master.leases_expired"),
+        session.collectMetrics().counter("fleet.lease_expirations"),
         1.0);
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "dpp/client.h"
 #include "dpp/session.h"
 #include "test_fixtures.h"
 

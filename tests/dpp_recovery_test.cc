@@ -26,7 +26,7 @@
 #include "common/fault.h"
 #include "common/trace_query.h"
 #include "dpp/session.h"
-#include "sched/dpp_fleet.h"
+#include "dpp/fleet.h"
 #include "test_fixtures.h"
 
 namespace dsi::dpp {
@@ -264,6 +264,28 @@ TEST_F(RecoveryTest, MasterDeathUnderWorkerCrashAndCheckpointFaults)
     EXPECT_GE(q.lineageCompleteFraction(), 0.99);
 }
 
+TEST_F(RecoveryTest, SessionWritesPeriodicCheckpoints)
+{
+    // Only the periodic trigger is armed: every control-plane round
+    // is due for a checkpoint.
+    SessionOptions so;
+    so.workers = 2;
+    so.recovery = recovery(false);
+    so.recovery.policy.on_terminal = false;
+    so.recovery.policy.every_n_deliveries = 0;
+    so.recovery.policy.interval_s = 1e-9;
+
+    InProcessSession session(*mw_.warehouse, recoverySpec(mw_), so);
+    UnionLog log;
+    auto result = session.run(
+        [&](ClientId, const TensorBatch &t) { log.add(t); });
+    EXPECT_EQ(result.splits_failed, 0u);
+    log.expectExactlyOnce(kTotalRows);
+    EXPECT_GE(session.collectMetrics().counter(
+                  "master.checkpoint.written"),
+              1.0);
+}
+
 TEST_F(RecoveryTest, AttemptCountsAreNotDoubleCharged)
 {
     auto spec = recoverySpec(mw_);
@@ -304,20 +326,20 @@ TEST_F(RecoveryTest, AttemptCountsAreNotDoubleCharged)
 
 TEST_F(RecoveryTest, FleetSchedulerDeathRebuildsEveryTenant)
 {
-    auto addTenants = [&](sched::FleetScheduler &fleet) {
-        sched::TenantOptions rc;
+    auto addTenants = [&](FleetScheduler &fleet) {
+        TenantOptions rc;
         rc.name = "rc";
-        rc.job_class = sched::JobClass::RC;
-        sched::TenantOptions explore;
+        rc.job_class = JobClass::RC;
+        TenantOptions explore;
         explore.name = "explore";
-        explore.job_class = sched::JobClass::Explore;
+        explore.job_class = JobClass::Explore;
         // Re-admission order fixes tenant ids, which name the
         // journals — the successor must mirror it.
         fleet.addTenant(recoverySpec(mw_, {0}), rc);
         fleet.addTenant(recoverySpec(mw_, {1}), explore);
     };
 
-    sched::FleetOptions fo;
+    FleetOptions fo;
     fo.initial_workers = 2;
     fo.lease_timeout = 0.05;
     fo.recovery = recovery(false);
@@ -329,7 +351,7 @@ TEST_F(RecoveryTest, FleetSchedulerDeathRebuildsEveryTenant)
         // A worker crash runs concurrently with the fleet's death.
         ScopedFault crash(faults::kWorkerCrash,
                           FaultSpec{.trigger_hit = 4});
-        sched::FleetScheduler fleet(*mw_.warehouse, fo);
+        FleetScheduler fleet(*mw_.warehouse, fo);
         addTenants(fleet);
         // Drive the fleet mid-epoch, then destroy it with tenants
         // unfinished — buffered tensors die with the pool, exactly as
@@ -343,9 +365,9 @@ TEST_F(RecoveryTest, FleetSchedulerDeathRebuildsEveryTenant)
         EXPECT_FALSE(fleet.finished());
     }
 
-    sched::FleetOptions fo2 = fo;
+    FleetOptions fo2 = fo;
     fo2.recovery.recover = true;
-    sched::FleetScheduler successor(*mw_.warehouse, fo2);
+    FleetScheduler successor(*mw_.warehouse, fo2);
     addTenants(successor);
     auto result = successor.run(
         [&](TenantId tenant, const TensorBatch &t) {

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/fault.h"
 #include "dpp/autoscaler.h"
+#include "dpp/client.h"
 #include "dpp/session.h"
 #include "dpp/worker_model.h"
 #include "test_fixtures.h"
@@ -437,18 +441,148 @@ TEST(PartitionedRoundRobin, FanInBalancedWithinOneEverywhere)
     }
 }
 
+/**
+ * Run a session on its own thread with a bounded wait: a session that
+ * never finishes is halted and reported as a failure instead of
+ * hanging the suite.
+ */
+SessionResult
+runBounded(InProcessSession &session, uint64_t fail_after_splits = 0,
+           InProcessSession::TensorSink sink = nullptr)
+{
+    auto run = std::async(std::launch::async, [&] {
+        return session.run(std::move(sink), fail_after_splits);
+    });
+    if (run.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        session.requestHalt();
+        ADD_FAILURE() << "session did not finish within 60 s";
+    }
+    return run.get();
+}
+
 TEST_F(DppTest, SessionDeliversEveryRowOnce)
 {
-    SessionOptions so;
-    so.workers = 3;
-    so.clients = 2;
-    InProcessSession session(*mw_.warehouse, makeSpec(mw_, {0, 1}),
-                             so);
-    auto result = session.run();
-    EXPECT_EQ(result.rows_delivered, 8192u);
-    EXPECT_GT(result.tensors_delivered, 0u);
-    EXPECT_GT(result.tensor_bytes, 0u);
-    EXPECT_EQ(result.worker_failures, 0u);
+    // 256-row stripes and splits: 32 splits, so every worker of the
+    // larger pool below is granted work.
+    dwrf::WriterOptions fine;
+    fine.rows_per_stripe = 256;
+    auto fine_mw =
+        testing::makeMiniWarehouse(smallParams(), 2, 4096, 2048, fine);
+    auto fine_spec = makeSpec(fine_mw, {0, 1});
+    fine_spec.rows_per_split = 256;
+
+    struct Case
+    {
+        uint32_t workers;
+        uint32_t clients;
+        const warehouse::Warehouse *warehouse;
+        SessionSpec spec;
+    };
+    // The second input has more workers than its one client's
+    // connection cap (8): client routing alone would leave two
+    // workers, each holding a split, undrained.
+    for (const Case &c :
+         {Case{3, 2, mw_.warehouse.get(), makeSpec(mw_, {0, 1})},
+          Case{10, 1, fine_mw.warehouse.get(), fine_spec}}) {
+        SCOPED_TRACE(::testing::Message() << c.workers << " workers, "
+                                          << c.clients << " clients");
+        SessionOptions so;
+        so.workers = c.workers;
+        so.clients = c.clients;
+        InProcessSession session(*c.warehouse, c.spec, so);
+        auto result = runBounded(session);
+        EXPECT_EQ(result.rows_delivered, 8192u);
+        EXPECT_GT(result.tensors_delivered, 0u);
+        EXPECT_GT(result.tensor_bytes, 0u);
+        EXPECT_EQ(result.worker_failures, 0u);
+    }
+}
+
+/** FNV-1a over `n` raw bytes, folded into `h`. */
+void
+mixBytes(uint64_t &h, const void *data, size_t n)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ULL;
+}
+
+template <typename T>
+void
+mixVector(uint64_t &h, const std::vector<T> &v)
+{
+    size_t n = v.size();
+    mixBytes(h, &n, sizeof n);
+    mixBytes(h, v.data(), n * sizeof(T));
+}
+
+/** Digest of one batch: its replay-stable key and its payload. */
+uint64_t
+batchDigest(const TensorBatch &t)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    mixBytes(h, &t.split_id, sizeof t.split_id);
+    mixBytes(h, &t.first_row, sizeof t.first_row);
+    const dwrf::RowBatch &b = t.data;
+    mixBytes(h, &b.rows, sizeof b.rows);
+    mixVector(h, b.labels);
+    for (const auto &c : b.dense) {
+        mixBytes(h, &c.id, sizeof c.id);
+        mixVector(h, c.present);
+        mixVector(h, c.values);
+    }
+    for (const auto &c : b.sparse) {
+        mixBytes(h, &c.id, sizeof c.id);
+        mixVector(h, c.offsets);
+        mixVector(h, c.values);
+        mixVector(h, c.scores);
+    }
+    return h;
+}
+
+TEST_F(DppTest, SessionDeliveryDigestIsPinned)
+{
+    // The order-independent digest (sum of per-batch digests) of
+    // everything a session delivers over this corpus, recorded before
+    // the session became a one-tenant fleet. Every engine and fault
+    // below must deliver exactly these batches, each exactly once.
+    constexpr uint64_t kPinned = 0x9b27e41d48867339ULL;
+    struct Case
+    {
+        const char *name;
+        SessionOptions options;
+        uint64_t fail_after_splits;
+    };
+    SessionOptions sync;
+    sync.workers = 3;
+    sync.clients = 2;
+    SessionOptions threaded = sync;
+    threaded.worker.num_extract_threads = 2;
+    threaded.worker.num_transform_threads = 1;
+    SessionOptions dedup = sync;
+    dedup.worker.dedup_enabled = true;
+    for (const Case &c : {Case{"synchronous", sync, 0},
+                          Case{"threaded 2+1", threaded, 0},
+                          Case{"dedup", dedup, 0},
+                          Case{"fail_after_splits", sync, 2}}) {
+        SCOPED_TRACE(c.name);
+        InProcessSession session(*mw_.warehouse, makeSpec(mw_, {0, 1}),
+                                 c.options);
+        uint64_t digest = 0;
+        std::set<std::pair<uint64_t, RowId>> keys;
+        uint64_t batches = 0;
+        auto result = runBounded(
+            session, c.fail_after_splits,
+            [&](ClientId, const TensorBatch &t) {
+                digest += batchDigest(t);
+                keys.emplace(t.split_id, t.first_row);
+                ++batches;
+            });
+        EXPECT_EQ(result.rows_delivered, 8192u);
+        EXPECT_EQ(keys.size(), batches) << "a batch was delivered twice";
+        EXPECT_EQ(digest, kPinned) << std::hex << "0x" << digest;
+    }
 }
 
 TEST_F(DppTest, SessionSurvivesWorkerFailure)
@@ -467,6 +601,15 @@ TEST_F(DppTest, SessionSurvivesWorkerFailure)
     // received. Net: every row exactly once.
     EXPECT_EQ(result.rows_delivered, 8192u);
     EXPECT_EQ(result.splits_failed, 0u);
+
+    // The replaced worker's reads still count: the failure run re-reads
+    // its requeued splits, so it decoded at least what a clean run did.
+    InProcessSession clean(*mw_.warehouse, makeSpec(mw_, {0, 1}), so);
+    auto baseline = clean.run();
+    EXPECT_GE(result.read_stats.streams_decoded,
+              baseline.read_stats.streams_decoded);
+    EXPECT_GE(result.transform_stats.values_produced,
+              baseline.transform_stats.values_produced);
 }
 
 TEST_F(DppTest, ClientsSeeDisjointTensors)
@@ -475,7 +618,6 @@ TEST_F(DppTest, ClientsSeeDisjointTensors)
     SessionOptions so;
     so.workers = 4;
     so.clients = 2;
-    so.client.max_connections = 2; // strict partition of the pool
     InProcessSession session(*mw_.warehouse, makeSpec(mw_, {0, 1}),
                              so);
     std::map<ClientId, uint64_t> rows_by_client;

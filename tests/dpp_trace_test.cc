@@ -156,7 +156,7 @@ TEST_F(DppTraceTest, EveryBatchHasCompleteLineage)
     trace::TraceQuery q(session.traceEvents());
     // One delivery span per delivered batch, each rooted in a Master
     // grant whose subtree did real extraction work.
-    EXPECT_EQ(q.count(trace::spans::kClientDeliver), delivered);
+    EXPECT_EQ(q.count(trace::spans::kFleetDeliver), delivered);
     EXPECT_GE(q.lineageCompleteFraction(), 0.99);
     EXPECT_EQ(q.count(trace::spans::kMasterGrant),
               session.master().totalSplits());
@@ -186,7 +186,7 @@ TEST_F(DppTraceTest, ParallelPipelineKeepsLineage)
 
     EXPECT_EQ(result.rows_delivered, kTotalRows);
     trace::TraceQuery q(session.traceEvents());
-    EXPECT_EQ(q.count(trace::spans::kClientDeliver), delivered);
+    EXPECT_EQ(q.count(trace::spans::kFleetDeliver), delivered);
     EXPECT_GE(q.lineageCompleteFraction(), 0.99);
     // The threaded hand-off points emit their wait spans.
     EXPECT_GT(q.count(trace::spans::kQueuePushWait), 0u);
@@ -344,7 +344,7 @@ TEST_F(DppTraceTest, LiveTraceExportsToChromeJson)
     EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
     EXPECT_NE(json.find(trace::spans::kMasterGrant),
               std::string::npos);
-    EXPECT_NE(json.find(trace::spans::kClientDeliver),
+    EXPECT_NE(json.find(trace::spans::kFleetDeliver),
               std::string::npos);
 
     std::string path =

@@ -23,10 +23,10 @@
 #include "common/fault.h"
 #include "common/metrics_export.h"
 #include "common/trace_query.h"
-#include "sched/dpp_fleet.h"
+#include "dpp/fleet.h"
 #include "test_fixtures.h"
 
-namespace dsi::sched {
+namespace dsi::dpp {
 namespace {
 
 warehouse::SchemaParams
@@ -357,6 +357,34 @@ TEST_F(FleetTest, WorkerCrashPreservesExactlyOncePerTenant)
               1.0);
 }
 
+TEST_F(FleetTest, DeadlineSweepRequeuesStalledSplit)
+{
+    // One 3 s storage stall against a 1 s per-split budget, on the
+    // threaded pipeline: the worker holding the stalled split cannot
+    // release it before its read returns, so only the control plane's
+    // deadline sweep puts the split back before the stall ends.
+    FleetOptions fo;
+    fo.initial_workers = 2;
+    fo.worker.num_extract_threads = 1;
+    fo.worker.num_transform_threads = 1;
+    fo.admission.split_deadline_s = 1.0;
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    TenantId t = fleet.addTenant(tenantSpec(mw_, {0, 1}, 1024));
+
+    // Armed after admission so the Master's split enumeration reads
+    // do not take the stall.
+    ScopedFault slow(faults::kTectonicReadDelay,
+                     FaultSpec{.max_fires = 1, .latency_seconds = 3.0});
+    TenantLog log;
+    auto result = fleet.run(log.sink());
+
+    log.expectExactlyOnce(t, kRowsBoth);
+    EXPECT_EQ(fleet.tenantStats(t).splits_failed, 0u);
+    EXPECT_GE(fleet.collectMetrics().counter("master.deadline_expired"),
+              1.0);
+    EXPECT_GE(result.deadline_expirations, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Tenant-labeled tracing.
 
@@ -364,7 +392,7 @@ TEST_F(FleetTest, SpansAttributeWorkAndDeliveryToTenants)
 {
     FleetOptions fo;
     fo.initial_workers = 2;
-    fo.trace = true;
+    fo.trace.enabled = true;
     FleetScheduler fleet(*mw_.warehouse, fo);
 
     TenantOptions rc;
@@ -530,4 +558,4 @@ TEST_F(FleetTest, StarvedPoolAutoscalesUpToCap)
 }
 
 } // namespace
-} // namespace dsi::sched
+} // namespace dsi::dpp
