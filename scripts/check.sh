@@ -39,7 +39,7 @@ run_pass build-asan address "$@"
 # Optional pass 3: TSan over the threaded suites.
 if [[ "${DSI_CHECK_TSAN:-0}" == "1" ]]; then
     run_pass build-tsan thread \
-        -R '(common_concurrency|common_overload|common_trace|dpp_chaos|dpp_parallel|dpp_overload|dpp_trace|dpp_recovery|sched_fleet|storage_heal|dedup_differential|dwrf_encoding)_test' "$@"
+        -R '(common_concurrency|common_overload|common_trace|dpp_chaos|dpp_parallel|dpp_overload|dpp_trace|dpp_recovery|sched_fleet|storage_heal|dedup_differential|dwrf_encoding|transforms)_test' "$@"
 fi
 
 # Optional pass 4: UBSan over every suite.

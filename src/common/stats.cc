@@ -143,6 +143,50 @@ PercentileSampler::percentile(double p) const
 }
 
 void
+LatencyHistogram::add(double seconds)
+{
+    total_.fetch_add(1, std::memory_order_relaxed);
+    if (!(seconds >= std::ldexp(1.0, kMinExp))) {
+        underflow_.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    double k = std::floor((std::log2(seconds) - kMinExp) *
+                          kBucketsPerOctave);
+    int bucket = static_cast<int>(
+        std::min(k, static_cast<double>(kBuckets - 1)));
+    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+}
+
+double
+LatencyHistogram::percentile(double p) const
+{
+    dsi_assert(p >= 0.0 && p <= 100.0, "percentile out of range: %f", p);
+    uint64_t n = count();
+    if (n == 0)
+        return 0.0;
+    // The sample at 0-based rank floor(p/100 * (n-1)).
+    uint64_t rank =
+        static_cast<uint64_t>(p / 100.0 * static_cast<double>(n - 1));
+    uint64_t seen = underflow_.load(std::memory_order_relaxed);
+    if (seen > rank)
+        return 0.0;
+    int last = -1;
+    for (int b = 0; b < kBuckets; ++b) {
+        uint64_t c = counts_[b].load(std::memory_order_relaxed);
+        if (c == 0)
+            continue;
+        last = b;
+        seen += c;
+        if (seen > rank)
+            break;
+    }
+    if (last < 0)
+        return 0.0;
+    // Geometric midpoint of bucket `last`.
+    return std::exp2(kMinExp + (last + 0.5) / kBucketsPerOctave);
+}
+
+void
 LogHistogram::add(double x, uint64_t weight)
 {
     int exp = kMinExp;

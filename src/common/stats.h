@@ -11,6 +11,7 @@
 #ifndef DSI_COMMON_STATS_H
 #define DSI_COMMON_STATS_H
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -92,6 +93,50 @@ class PercentileSampler
     mutable std::mutex mutex_; ///< guards samples_ and dirty_
     mutable std::vector<double> samples_;
     mutable bool dirty_ = false;
+};
+
+/**
+ * Fixed-size latency histogram for long-lived paths: memory does not
+ * grow with the number of samples (PercentileSampler keeps every one).
+ *
+ * Buckets are log-spaced, kBucketsPerOctave per power of two: bucket
+ * k covers [kMin * 2^(k/8), kMin * 2^((k+1)/8)) seconds. A
+ * percentile is answered by walking the bucket counts to the rank
+ * and reporting that bucket's geometric midpoint, so for a sample
+ * inside [kMin, kMax) the estimate is within kRelativeError
+ * (2^(1/16) - 1 < 4.43%) of the exact order statistic. Samples
+ * below kMin (including zero) report 0; samples at or above kMax
+ * report kMax's bucket.
+ *
+ * Thread safety: add() and the accessors may run concurrently (the
+ * counts are relaxed atomics); a percentile taken during adds may
+ * miss the adds still in flight.
+ */
+class LatencyHistogram
+{
+  public:
+    static constexpr int kBucketsPerOctave = 8;
+    static constexpr int kMinExp = -32; ///< kMin = 2^-32 s (~0.23 ns)
+    static constexpr int kMaxExp = 32;  ///< kMax = 2^32 s
+    static constexpr double kRelativeError = 0.0443; // >= 2^(1/16) - 1
+
+    void add(double seconds);
+
+    uint64_t count() const
+    {
+        return total_.load(std::memory_order_relaxed);
+    }
+
+    /** p in [0, 100]: estimate of the sample at rank p/100 * (n-1). */
+    double percentile(double p) const;
+
+  private:
+    static constexpr int kBuckets =
+        (kMaxExp - kMinExp) * kBucketsPerOctave;
+
+    std::atomic<uint64_t> underflow_{0}; ///< samples below kMin
+    std::atomic<uint64_t> counts_[kBuckets] = {};
+    std::atomic<uint64_t> total_{0};
 };
 
 /** One bucket of a histogram: [lo, hi) with a count. */

@@ -614,6 +614,9 @@ FleetScheduler::maybeAutoscale()
             --to_drain;
         }
     }
+    ++scaling_evaluations_;
+    if (scaling_log_.size() == kScalingLogCapacity)
+        scaling_log_.pop_front();
     scaling_log_.push_back(std::move(ev));
 }
 

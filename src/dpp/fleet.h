@@ -79,6 +79,7 @@
 #define DSI_DPP_FLEET_H
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -310,11 +311,19 @@ class FleetScheduler : public WorkSource
     size_t workerCount() const { return workers_.size(); }
     Worker &workerAt(size_t i) { return *workers_.at(i); }
 
-    /** Every scaling evaluation the pool's controller made. */
-    const std::vector<ScalingEvent> &scalingLog() const
+    /** Scaling evaluations kept in scalingLog(), newest last. */
+    static constexpr size_t kScalingLogCapacity = 1024;
+
+    /** The newest (at most kScalingLogCapacity) scaling evaluations
+     * the pool's controller made, oldest first. */
+    const std::deque<ScalingEvent> &scalingLog() const
     {
         return scaling_log_;
     }
+
+    /** Scaling evaluations made in total, including those no longer
+     * kept in scalingLog(). */
+    uint64_t scalingEvaluations() const { return scaling_evaluations_; }
 
     /** Fleet-level registry (fleet.tenant.<id>.granted/shed/preempted,
      * fleet.preemptions, fleet.workers_launched, ...). */
@@ -337,7 +346,7 @@ class FleetScheduler : public WorkSource
         TenantOptions opts;
         std::unique_ptr<Master> master;
         DeliveryLedger ledger; ///< per-tenant exactly-once
-        PercentileSampler grant_latency;
+        LatencyHistogram grant_latency;
         /** clock_() when the tenant last became pending-but-ungranted;
          * < 0 while it has no ungranted demand. */
         double waiting_since = -1.0;
@@ -413,7 +422,8 @@ class FleetScheduler : public WorkSource
     dwrf::ReadStats retired_read_stats_;
     transforms::TransformStats retired_transform_stats_;
     std::unique_ptr<AutoScaler> scaler_;
-    std::vector<ScalingEvent> scaling_log_;
+    std::deque<ScalingEvent> scaling_log_;
+    uint64_t scaling_evaluations_ = 0;
     double last_eval_ = 0.0;
     uint64_t last_delivered_ = 0;
     double last_supplied_ = 0.0;

@@ -29,6 +29,7 @@
 #ifndef DSI_DPP_SESSION_H
 #define DSI_DPP_SESSION_H
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -153,10 +154,17 @@ class InProcessSession
     SessionResult run(TensorSink sink = nullptr,
                       uint64_t fail_after_splits = 0);
 
-    /** Every scaling evaluation the live controller made this run. */
-    const std::vector<ScalingEvent> &scalingLog() const
+    /** The newest scaling evaluations the live controller made
+     * (FleetScheduler::kScalingLogCapacity at most). */
+    const std::deque<ScalingEvent> &scalingLog() const
     {
         return fleet_.scalingLog();
+    }
+
+    /** Scaling evaluations made in total. */
+    uint64_t scalingEvaluations() const
+    {
+        return fleet_.scalingEvaluations();
     }
 
     /**

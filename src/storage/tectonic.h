@@ -428,15 +428,11 @@ class TectonicCluster
     /**
      * Current hedge trigger: p`delay_percentile` of observed read
      * latency (clamped to [min_delay_s, max_delay_s]), or min_delay_s
-     * until min_samples reads have been observed.
+     * until min_samples reads have been observed. The percentile is a
+     * LatencyHistogram estimate (within its kRelativeError), read by
+     * walking the fixed bucket counts.
      */
     double hedgeDelaySeconds() const;
-
-    /** Latency distribution of logical read attempts (seconds). */
-    const PercentileSampler &readLatency() const
-    {
-        return read_latency_;
-    }
 
     /** Breaker state of one storage node (tests/observability). */
     CircuitBreaker::State breakerState(NodeId id) const;
@@ -624,9 +620,9 @@ class TectonicCluster
 
     // Tail tolerance. Breakers are guarded by io_mutex_ (accessed
     // only inside routeBlockRead/tryReplicaIo and accessors);
-    // read_latency_ is internally mutex-guarded.
+    // read_latency_ is internally thread-safe and fixed-size.
     mutable std::vector<CircuitBreaker> breakers_;
-    mutable PercentileSampler read_latency_;
+    mutable LatencyHistogram read_latency_;
     mutable std::mutex hedge_mutex_; ///< guards hedge_ and pool init
     HedgeOptions hedge_;
 

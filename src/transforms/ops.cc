@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -161,14 +160,29 @@ TransformStats::classShare(OpClass cls) const
            static_cast<double>(total);
 }
 
-uint64_t
-sigridHash64(uint64_t value, uint64_t salt)
+namespace {
+
+/** sigridHash64(value, salt) == mix64(value + saltTerm(salt)). */
+inline uint64_t
+saltTerm(uint64_t salt)
 {
-    uint64_t z = value + salt * 0x9e3779b97f4a7c15ULL +
-                 0x9e3779b97f4a7c15ULL;
+    return salt * 0x9e3779b97f4a7c15ULL + 0x9e3779b97f4a7c15ULL;
+}
+
+inline uint64_t
+mix64(uint64_t z)
+{
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+} // namespace
+
+uint64_t
+sigridHash64(uint64_t value, uint64_t salt)
+{
+    return mix64(value + saltTerm(salt));
 }
 
 namespace {
@@ -341,46 +355,106 @@ class OnehotOp : public TransformBase
     }
 };
 
-/** Base for ops mapping one sparse input to one sparse output. */
+/**
+ * A sparse input column over a batch's rows. Row r's values are
+ * values[lo(r) .. lo(r) + len(r)); `values` and `scores` already
+ * point at the column's first row, so a column whose offsets[0] != 0
+ * reads the same as one rebased to zero.
+ */
+struct ListInput
+{
+    const uint32_t *offsets = nullptr; ///< rows + 1 entries
+    const int64_t *values = nullptr;
+    const float *scores = nullptr;     ///< nullptr when unscored
+    uint32_t base = 0;                 ///< offsets[0]
+    uint32_t total = 0;                ///< values over all rows
+
+    ListInput(const dwrf::SparseColumn &col, uint32_t rows)
+    {
+        if (rows == 0)
+            return;
+        offsets = col.offsets.data();
+        base = offsets[0];
+        total = offsets[rows] - base;
+        values = col.values.data() + base;
+        if (!col.scores.empty())
+            scores = col.scores.data() + base;
+    }
+
+    uint32_t lo(uint32_t r) const { return offsets[r] - base; }
+    uint32_t len(uint32_t r) const { return offsets[r + 1] - offsets[r]; }
+    const int64_t *row(uint32_t r) const { return values + lo(r); }
+};
+
+/**
+ * Fill `offsets` (rows + 1 entries, starting at 0) for an op that
+ * emits `count(len)` values for an input row of `len` values, and
+ * return the column's output total.
+ */
+template <typename Count>
+uint32_t
+outputOffsets(const ListInput &in, uint32_t rows,
+              std::vector<uint32_t> &offsets, Count count)
+{
+    offsets.resize(rows + 1);
+    offsets[0] = 0;
+    uint32_t total = 0;
+    for (uint32_t r = 0; r < rows; ++r) {
+        total += count(in.len(r));
+        offsets[r + 1] = total;
+    }
+    return total;
+}
+
+/** Offsets of a 1:1 op: the input's, rebased to start at zero. */
+uint32_t
+sameOffsets(const ListInput &in, uint32_t rows,
+            std::vector<uint32_t> &offsets)
+{
+    return outputOffsets(in, rows, offsets,
+                         [](uint32_t len) { return len; });
+}
+
+/** A 1:1 kernel: out.values[i] = f(in.values[i]) over the column. */
+template <typename F>
+void
+mapValues(const ListInput &in, uint32_t rows, dwrf::SparseColumn &out,
+          F f)
+{
+    sameOffsets(in, rows, out.offsets);
+    out.values.resize(in.total);
+    int64_t *dst = out.values.data();
+    for (uint32_t i = 0; i < in.total; ++i)
+        dst[i] = f(in.values[i]);
+}
+
+/**
+ * Base for ops mapping one sparse input to one sparse output. The
+ * kernel fills the whole output column in one pass over the batch.
+ */
 class SparseUnaryOp : public TransformBase
 {
   public:
     using TransformBase::TransformBase;
 
-    /** Transform one row's list into the output list. */
-    virtual void mapList(const int64_t *values, const float *scores,
-                         uint32_t len, dwrf::SparseColumn &out) const
-        = 0;
-
     void
     apply(dwrf::RowBatch &batch, TransformStats &stats) const override
     {
-        const dwrf::SparseColumn *in =
+        const dwrf::SparseColumn *col =
             batch.findSparse(spec_.inputs[0]);
-        if (!in)
+        if (!col)
             return;
+        ListInput in(*col, batch.rows);
         dwrf::SparseColumn out;
         out.id = spec_.output;
-        out.offsets.assign(batch.rows + 1, 0);
-        // Most unary list ops emit at most one value per input value.
-        out.values.reserve(in->values.size());
-        if (!in->scores.empty())
-            out.scores.reserve(in->scores.size());
-        uint64_t consumed = 0;
-        for (uint32_t r = 0; r < batch.rows; ++r) {
-            uint32_t lo = in->offsets[r];
-            uint32_t len = in->offsets[r + 1] - lo;
-            consumed += len;
-            mapList(in->values.data() + lo,
-                    in->scores.empty() ? nullptr
-                                       : in->scores.data() + lo,
-                    len, out);
-            out.offsets[r + 1] =
-                static_cast<uint32_t>(out.values.size());
-        }
-        account(stats, consumed, out.values.size());
+        kernel(in, batch.rows, out);
+        account(stats, in.total, out.values.size());
         batch.sparse.push_back(std::move(out));
     }
+
+  protected:
+    virtual void kernel(const ListInput &in, uint32_t rows,
+                        dwrf::SparseColumn &out) const = 0;
 };
 
 class SigridHashOp : public SparseUnaryOp
@@ -388,15 +462,26 @@ class SigridHashOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
         uint64_t max_value = spec_.u1 > 0 ? spec_.u1 : (1ULL << 31);
-        for (uint32_t i = 0; i < len; ++i) {
-            uint64_t h = sigridHash64(
-                static_cast<uint64_t>(values[i]), spec_.u0);
-            out.values.push_back(static_cast<int64_t>(h % max_value));
+        uint64_t salt = saltTerm(spec_.u0);
+        auto hash = [salt](int64_t v) {
+            return mix64(static_cast<uint64_t>(v) + salt);
+        };
+        if ((max_value & (max_value - 1)) == 0) {
+            // x % 2^k == x & (2^k - 1) for unsigned x.
+            uint64_t mask = max_value - 1;
+            mapValues(in, rows, out, [&](int64_t v) {
+                return static_cast<int64_t>(hash(v) & mask);
+            });
+        } else {
+            mapValues(in, rows, out, [&](int64_t v) {
+                return static_cast<int64_t>(hash(v) % max_value);
+            });
         }
     }
 };
@@ -406,16 +491,17 @@ class PositiveModulusOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
         int64_t m = spec_.u0 > 0 ? static_cast<int64_t>(spec_.u0)
                                  : 1000000;
-        for (uint32_t i = 0; i < len; ++i) {
-            int64_t v = values[i] % m;
-            out.values.push_back(v < 0 ? v + m : v);
-        }
+        mapValues(in, rows, out, [m](int64_t v) {
+            v %= m;
+            return v < 0 ? v + m : v;
+        });
     }
 };
 
@@ -424,16 +510,28 @@ class FirstXOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *scores, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
-        uint32_t keep = std::min<uint32_t>(
-            len, spec_.u0 > 0 ? static_cast<uint32_t>(spec_.u0) : 1);
-        for (uint32_t i = 0; i < keep; ++i) {
-            out.values.push_back(values[i]);
-            if (scores)
-                out.scores.push_back(scores[i]);
+        uint32_t keep = spec_.u0 > 0 ? static_cast<uint32_t>(spec_.u0)
+                                     : 1;
+        uint32_t total = outputOffsets(
+            in, rows, out.offsets,
+            [keep](uint32_t len) { return std::min(len, keep); });
+        out.values.resize(total);
+        if (in.scores)
+            out.scores.resize(total);
+        for (uint32_t r = 0; r < rows; ++r) {
+            uint32_t lo = in.lo(r);
+            uint32_t n = out.offsets[r + 1] - out.offsets[r];
+            std::copy_n(in.values + lo, n,
+                        out.values.data() + out.offsets[r]);
+            if (in.scores) {
+                std::copy_n(in.scores + lo, n,
+                            out.scores.data() + out.offsets[r]);
+            }
         }
     }
 };
@@ -443,18 +541,18 @@ class MapIdOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
         // Fixed mapping: ids below u0 keep a remapped identity; all
         // others collapse to the default id u1.
         int64_t dict = static_cast<int64_t>(spec_.u0);
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i] < dict
-                                     ? values[i] + 1
-                                     : static_cast<int64_t>(spec_.u1));
-        }
+        int64_t other = static_cast<int64_t>(spec_.u1);
+        mapValues(in, rows, out, [=](int64_t v) {
+            return v < dict ? v + 1 : other;
+        });
     }
 };
 
@@ -463,21 +561,30 @@ class NGramOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
         uint32_t n = spec_.u0 >= 2 ? static_cast<uint32_t>(spec_.u0)
                                    : 2;
-        if (len < n)
-            return;
-        for (uint32_t i = 0; i + n <= len; ++i) {
-            uint64_t h = spec_.u1; // salt
-            for (uint32_t k = 0; k < n; ++k)
-                h = sigridHash64(static_cast<uint64_t>(values[i + k]),
-                                 h);
-            out.values.push_back(
-                static_cast<int64_t>(h >> 1)); // keep positive
+        // One window per start position i with i + n <= len.
+        uint32_t total = outputOffsets(
+            in, rows, out.offsets, [n](uint32_t len) {
+                return len >= n ? len - n + 1 : 0;
+            });
+        out.values.resize(total);
+        for (uint32_t r = 0; r < rows; ++r) {
+            const int64_t *v = in.row(r);
+            int64_t *dst = out.values.data() + out.offsets[r];
+            uint32_t windows = out.offsets[r + 1] - out.offsets[r];
+            for (uint32_t i = 0; i < windows; ++i) {
+                uint64_t h = spec_.u1; // salt
+                for (uint32_t k = 0; k < n; ++k)
+                    h = mix64(static_cast<uint64_t>(v[i + k]) +
+                              saltTerm(h));
+                dst[i] = static_cast<int64_t>(h >> 1); // keep positive
+            }
         }
     }
 };
@@ -487,13 +594,19 @@ class EnumerateOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i]);
-            out.scores.push_back(static_cast<float>(i));
+        sameOffsets(in, rows, out.offsets);
+        out.values.assign(in.values, in.values + in.total);
+        out.scores.resize(in.total);
+        for (uint32_t r = 0; r < rows; ++r) {
+            float *dst = out.scores.data() + out.offsets[r];
+            uint32_t len = out.offsets[r + 1] - out.offsets[r];
+            for (uint32_t i = 0; i < len; ++i)
+                dst[i] = static_cast<float>(i);
         }
     }
 };
@@ -503,56 +616,52 @@ class ComputeScoreOp : public SparseUnaryOp
   public:
     using SparseUnaryOp::SparseUnaryOp;
 
+  protected:
     void
-    mapList(const int64_t *values, const float *scores, uint32_t len,
-            dwrf::SparseColumn &out) const override
+    kernel(const ListInput &in, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
         // score' = score * p0 + p1 (score defaults to 1 if absent)
-        for (uint32_t i = 0; i < len; ++i) {
-            out.values.push_back(values[i]);
-            double s = scores ? scores[i] : 1.0;
-            out.scores.push_back(
-                static_cast<float>(s * spec_.p0 + spec_.p1));
+        sameOffsets(in, rows, out.offsets);
+        out.values.assign(in.values, in.values + in.total);
+        if (!in.scores) {
+            out.scores.assign(
+                in.total, static_cast<float>(1.0 * spec_.p0 + spec_.p1));
+            return;
+        }
+        out.scores.resize(in.total);
+        for (uint32_t i = 0; i < in.total; ++i) {
+            double s = in.scores[i];
+            out.scores[i] = static_cast<float>(s * spec_.p0 + spec_.p1);
         }
     }
 };
 
-/** Base for ops combining two sparse inputs. */
+/** Base for ops combining two sparse inputs, a column at a time. */
 class SparseBinaryOp : public TransformBase
 {
   public:
     using TransformBase::TransformBase;
 
-    virtual void mapLists(const int64_t *a, uint32_t alen,
-                          const int64_t *b, uint32_t blen,
-                          dwrf::SparseColumn &out) const = 0;
-
     void
     apply(dwrf::RowBatch &batch, TransformStats &stats) const override
     {
-        const dwrf::SparseColumn *a = batch.findSparse(spec_.inputs[0]);
-        const dwrf::SparseColumn *b = batch.findSparse(spec_.inputs[1]);
-        if (!a || !b)
+        const dwrf::SparseColumn *ca = batch.findSparse(spec_.inputs[0]);
+        const dwrf::SparseColumn *cb = batch.findSparse(spec_.inputs[1]);
+        if (!ca || !cb)
             return;
+        ListInput a(*ca, batch.rows);
+        ListInput b(*cb, batch.rows);
         dwrf::SparseColumn out;
         out.id = spec_.output;
-        out.offsets.assign(batch.rows + 1, 0);
-        out.values.reserve(a->values.size());
-        uint64_t consumed = 0;
-        for (uint32_t r = 0; r < batch.rows; ++r) {
-            uint32_t alo = a->offsets[r];
-            uint32_t alen = a->offsets[r + 1] - alo;
-            uint32_t blo = b->offsets[r];
-            uint32_t blen = b->offsets[r + 1] - blo;
-            consumed += alen + blen;
-            mapLists(a->values.data() + alo, alen,
-                     b->values.data() + blo, blen, out);
-            out.offsets[r + 1] =
-                static_cast<uint32_t>(out.values.size());
-        }
-        account(stats, consumed, out.values.size());
+        kernel(a, b, batch.rows, out);
+        account(stats, uint64_t{a.total} + b.total, out.values.size());
         batch.sparse.push_back(std::move(out));
     }
+
+  protected:
+    virtual void kernel(const ListInput &a, const ListInput &b,
+                        uint32_t rows, dwrf::SparseColumn &out) const = 0;
 };
 
 class CartesianOp : public SparseBinaryOp
@@ -560,40 +669,119 @@ class CartesianOp : public SparseBinaryOp
   public:
     using SparseBinaryOp::SparseBinaryOp;
 
+  protected:
     void
-    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
-             uint32_t blen, dwrf::SparseColumn &out) const override
+    kernel(const ListInput &a, const ListInput &b, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
+        // Row r emits the first min(cap, alen * blen) pairs (i, j) in
+        // row-major order.
         uint64_t cap = spec_.u0 > 0 ? spec_.u0 : 128;
-        uint64_t emitted = 0;
-        for (uint32_t i = 0; i < alen && emitted < cap; ++i) {
-            for (uint32_t j = 0; j < blen && emitted < cap; ++j) {
-                uint64_t h = sigridHash64(
-                    static_cast<uint64_t>(a[i]),
-                    static_cast<uint64_t>(b[j]) ^ spec_.u1);
-                out.values.push_back(static_cast<int64_t>(h >> 1));
-                ++emitted;
+        out.offsets.resize(rows + 1);
+        out.offsets[0] = 0;
+        uint32_t total = 0;
+        for (uint32_t r = 0; r < rows; ++r) {
+            uint64_t pairs = uint64_t{a.len(r)} * b.len(r);
+            total += static_cast<uint32_t>(std::min(cap, pairs));
+            out.offsets[r + 1] = total;
+        }
+        out.values.resize(total);
+        // Per-row salt terms of b: hash(a_i, b_j ^ u1) is
+        // mix64(a_i + salts[j]).
+        std::vector<uint64_t> salts;
+        for (uint32_t r = 0; r < rows; ++r) {
+            uint32_t n = out.offsets[r + 1] - out.offsets[r];
+            if (n == 0)
+                continue;
+            const int64_t *av = a.row(r);
+            const int64_t *bv = b.row(r);
+            uint32_t blen = b.len(r);
+            salts.resize(blen);
+            for (uint32_t j = 0; j < blen; ++j)
+                salts[j] = saltTerm(static_cast<uint64_t>(bv[j]) ^
+                                    spec_.u1);
+            int64_t *dst = out.values.data() + out.offsets[r];
+            uint32_t k = 0;
+            for (uint32_t i = 0; k < n; ++i) {
+                uint64_t x = static_cast<uint64_t>(av[i]);
+                for (uint32_t j = 0; j < blen && k < n; ++j)
+                    dst[k++] =
+                        static_cast<int64_t>(mix64(x + salts[j]) >> 1);
             }
         }
     }
 };
+
+bool
+containsValue(const int64_t *v, uint32_t n, int64_t x)
+{
+    for (uint32_t i = 0; i < n; ++i)
+        if (v[i] == x)
+            return true;
+    return false;
+}
 
 class IdListTransformOp : public SparseBinaryOp
 {
   public:
     using SparseBinaryOp::SparseBinaryOp;
 
+  protected:
     void
-    mapLists(const int64_t *a, uint32_t alen, const int64_t *b,
-             uint32_t blen, dwrf::SparseColumn &out) const override
+    kernel(const ListInput &a, const ListInput &b, uint32_t rows,
+           dwrf::SparseColumn &out) const override
     {
-        // Intersection of the two id lists, preserving a's order.
-        std::unordered_set<int64_t> bset(b, b + blen);
-        std::unordered_set<int64_t> emitted;
-        for (uint32_t i = 0; i < alen; ++i) {
-            if (bset.count(a[i]) && emitted.insert(a[i]).second)
-                out.values.push_back(a[i]);
+        // Intersection of the two id lists, preserving a's order, each
+        // id emitted at most once per row. Every a value is emitted at
+        // most once, so a.total bounds the column.
+        out.offsets.resize(rows + 1);
+        out.offsets[0] = 0;
+        out.values.resize(a.total);
+        int64_t *dst = out.values.data();
+        uint32_t n = 0;
+        // Long-b scratch, reused by every row of this call.
+        std::vector<int64_t> sorted_b;
+        std::vector<uint8_t> emitted;
+        for (uint32_t r = 0; r < rows; ++r) {
+            const int64_t *av = a.row(r);
+            const int64_t *bv = b.row(r);
+            uint32_t alen = a.len(r);
+            uint32_t blen = b.len(r);
+            uint32_t row_start = n;
+            if (alen == 0 || blen == 0) {
+                // Nothing to intersect.
+            } else if (blen < kIdListSortMinB) {
+                for (uint32_t i = 0; i < alen; ++i) {
+                    int64_t x = av[i];
+                    if (containsValue(bv, blen, x) &&
+                        !containsValue(dst + row_start, n - row_start,
+                                       x)) {
+                        dst[n++] = x;
+                    }
+                }
+            } else {
+                sorted_b.assign(bv, bv + blen);
+                std::sort(sorted_b.begin(), sorted_b.end());
+                sorted_b.erase(
+                    std::unique(sorted_b.begin(), sorted_b.end()),
+                    sorted_b.end());
+                emitted.assign(sorted_b.size(), 0);
+                for (uint32_t i = 0; i < alen; ++i) {
+                    int64_t x = av[i];
+                    auto it = std::lower_bound(sorted_b.begin(),
+                                               sorted_b.end(), x);
+                    if (it == sorted_b.end() || *it != x)
+                        continue;
+                    uint8_t &seen = emitted[it - sorted_b.begin()];
+                    if (!seen) {
+                        seen = 1;
+                        dst[n++] = x;
+                    }
+                }
+            }
+            out.offsets[r + 1] = n;
         }
+        out.values.resize(n);
     }
 };
 

@@ -115,6 +115,16 @@ class Transform
  */
 std::unique_ptr<Transform> compileTransform(const TransformSpec &spec);
 
+/**
+ * b-list length from which the IdListTransform kernel sorts and
+ * dedupes a row's b list (then binary-searches it, with one "already
+ * emitted" flag per distinct b id) instead of scanning it linearly.
+ * The scan costs O(alen * blen), the sort O((alen + blen) log blen)
+ * with a larger constant. Chosen by measurement (docs/ARCHITECTURE.md,
+ * "Transform kernels"); either path yields the same output.
+ */
+inline constexpr uint32_t kIdListSortMinB = 64;
+
 /** Deterministic 64-bit hash used by SigridHash / NGram / Cartesian. */
 uint64_t sigridHash64(uint64_t value, uint64_t salt);
 

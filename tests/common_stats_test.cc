@@ -6,13 +6,43 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <type_traits>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
 #include "common/types.h"
+
+/** Heap allocations made by this test binary so far. */
+static std::atomic<uint64_t> g_allocations{0};
+
+void *
+operator new(std::size_t n)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace dsi {
 namespace {
@@ -76,6 +106,61 @@ TEST(PercentileSampler, InterleavedAddAndQuery)
     p.add(30);
     EXPECT_DOUBLE_EQ(p.percentile(50), 20.0);
     EXPECT_DOUBLE_EQ(p.percentile(100), 30.0);
+}
+
+TEST(LatencyHistogram, FootprintIsFixed)
+{
+    // The histogram owns no heap memory: a million adds allocate
+    // nothing, so the footprint stays sizeof(LatencyHistogram).
+    static_assert(std::is_trivially_destructible_v<LatencyHistogram>);
+    LatencyHistogram h;
+    Rng rng(3);
+    uint64_t before = g_allocations.load();
+    for (int i = 0; i < 1000000; ++i)
+        h.add(rng.nextLogNormal(1e-3, 1.0));
+    EXPECT_EQ(g_allocations.load(), before);
+    EXPECT_EQ(h.count(), 1000000u);
+}
+
+TEST(LatencyHistogram, PercentilesWithinStatedError)
+{
+    // Log-normal latencies around 1 ms: the estimate of each
+    // percentile is within kRelativeError of the exact order
+    // statistic at the same rank.
+    LatencyHistogram h;
+    std::vector<double> exact;
+    Rng rng(11);
+    for (int i = 0; i < 1000000; ++i) {
+        double x = rng.nextLogNormal(1e-3, 1.2);
+        h.add(x);
+        exact.push_back(x);
+    }
+    std::sort(exact.begin(), exact.end());
+    for (double p : {1.0, 50.0, 90.0, 99.0, 99.9}) {
+        double want = exact[static_cast<size_t>(
+            p / 100.0 * static_cast<double>(exact.size() - 1))];
+        EXPECT_NEAR(h.percentile(p), want,
+                    want * LatencyHistogram::kRelativeError)
+            << "p" << p;
+    }
+}
+
+TEST(LatencyHistogram, EdgesOfTheRange)
+{
+    LatencyHistogram h;
+    EXPECT_EQ(h.percentile(99), 0.0); // empty
+    h.add(0.0);
+    h.add(-1.0);
+    EXPECT_EQ(h.percentile(100), 0.0); // below kMin reports 0
+    for (int i = 0; i < 8; ++i)
+        h.add(1e12); // beyond kMax: clamped into the top bucket
+    EXPECT_GT(h.percentile(100), 0.9 * std::ldexp(1.0, 32));
+    // A constant sample reads back within the stated error.
+    LatencyHistogram c;
+    for (int i = 0; i < 100; ++i)
+        c.add(0.25e-3);
+    EXPECT_NEAR(c.percentile(50), 0.25e-3,
+                0.25e-3 * LatencyHistogram::kRelativeError);
 }
 
 TEST(LogHistogram, BucketsCoverValues)

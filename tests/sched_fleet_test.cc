@@ -259,6 +259,39 @@ TEST_F(FleetTest, RcGrantLatencySloHoldsUnderExploreFlood)
         << "s when explore demand tripled";
 }
 
+TEST_F(FleetTest, ScalingLogKeepsOnlyTheNewestEvaluations)
+{
+    // A long autoscaled run evaluates the controller on every tick of
+    // a fake clock; the log keeps the newest kScalingLogCapacity
+    // evaluations (memory bounded by the cap, not the run length) and
+    // counts the rest.
+    FleetOptions fo;
+    fo.initial_workers = 1;
+    fo.autoscale.enabled = true;
+    fo.autoscale.interval_s = 0.0005;
+    fo.autoscale.scaler.max_workers = 2;
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    double now = 0.0;
+    fleet.setClock([&now] { return now; });
+    TenantLog log;
+    TenantId t = fleet.addTenant(tenantSpec(mw_, {0}, 512));
+
+    const uint64_t ticks = 3 * FleetScheduler::kScalingLogCapacity;
+    for (uint64_t i = 0; i < ticks; ++i) {
+        now += 0.001;
+        ASSERT_TRUE(fleet.tick(log.sink()));
+    }
+    EXPECT_EQ(fleet.scalingEvaluations(), ticks);
+    EXPECT_EQ(fleet.scalingLog().size(),
+              FleetScheduler::kScalingLogCapacity);
+    fleet.close();
+    while (fleet.tick(log.sink()))
+        now += 0.001;
+    EXPECT_LE(fleet.scalingLog().size(),
+              FleetScheduler::kScalingLogCapacity);
+    log.expectExactlyOnce(t, kRowsOne);
+}
+
 // ---------------------------------------------------------------------
 // Preemption.
 
