@@ -7,8 +7,8 @@
  * measurable slice of the extract stage. An ObjectPool recycles the
  * objects instead: a released RowBatch keeps its columns' heap blocks,
  * and the reader's capacity-recycling (FileReader::recycleBatch)
- * reuses them on the next acquire. `bench/perf_suite` measures the
- * effect (BENCH_dpp.json).
+ * reuses them on the next acquire. perfbench's threaded workloads run
+ * through the pool; no benchmark isolates its effect.
  *
  * Retained-memory bound: recycled objects keep the heap capacity of
  * the *largest* payload they ever carried, so a single huge stripe

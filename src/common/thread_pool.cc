@@ -49,13 +49,6 @@ ThreadPool::pending() const
     return tasks_.size();
 }
 
-unsigned
-ThreadPool::hardwareConcurrency()
-{
-    unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-}
-
 void
 ThreadPool::workerLoop()
 {

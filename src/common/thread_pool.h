@@ -4,11 +4,11 @@
  *
  * The execution substrate of the parallel DPP data plane: a Worker
  * runs its extract and transform stages on pool threads
- * (Section III-B1 — "each worker runs many threads"), and the
- * recurring-training StreamWorker uses one for per-batch transform
- * fan-out. Deliberately minimal: submit closures, wait for quiesce,
- * join on destruction. No futures, no priorities — stages that need
- * results communicate through BoundedQueue.
+ * (Section III-B1 — "each worker runs many threads"), and Tectonic
+ * runs its hedged reads on one. Deliberately minimal: submit
+ * closures, wait for quiesce, join on destruction. No futures, no
+ * priorities — stages that need results communicate through
+ * BoundedQueue.
  *
  * Thread safety: all public methods may be called from any thread,
  * except the destructor, which must not race with submit().
@@ -51,12 +51,6 @@ class ThreadPool
 
     /** Tasks queued but not yet started. */
     size_t pending() const;
-
-    /**
-     * Best-effort hardware concurrency (>= 1 even when the runtime
-     * reports 0).
-     */
-    static unsigned hardwareConcurrency();
 
   private:
     void workerLoop();

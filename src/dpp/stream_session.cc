@@ -18,11 +18,7 @@ StreamWorker::StreamWorker(scribe::LogDevice &device,
         spec_.serialized_transforms);
     dsi_assert(graph.has_value(),
                "stream worker received malformed transform program");
-    program_ = std::move(*graph);
-    graph_ = std::make_unique<transforms::CompiledGraph>(program_);
-    if (spec_.num_transform_threads > 0)
-        pool_ = std::make_unique<ThreadPool>(
-            spec_.num_transform_threads);
+    graph_ = std::make_unique<transforms::CompiledGraph>(*graph);
 }
 
 uint64_t
@@ -66,7 +62,6 @@ StreamWorker::pump(uint64_t max_records)
                 emitBatch();
         }
     }
-    transformReady();
     return consumed;
 }
 
@@ -77,11 +72,6 @@ StreamWorker::emitBatch()
         return;
     auto batch = dwrf::batchFromRows(pending_);
     pending_.clear();
-    if (pool_) {
-        // Parallel mode: collect; transformReady() fans out.
-        ready_.push_back(std::move(batch));
-        return;
-    }
     transform_stats_.merge(graph_->apply(batch));
     TensorBatch tensor;
     tensor.bytes = batch.payloadBytes();
@@ -91,38 +81,9 @@ StreamWorker::emitBatch()
 }
 
 void
-StreamWorker::transformReady()
-{
-    if (!pool_ || ready_.empty())
-        return;
-    // Fan the collected batches out; each task compiles its own
-    // graph (compiled ops are stateful, so instances cannot be
-    // shared across threads). Emission preserves arrival order.
-    std::vector<TensorBatch> tensors(ready_.size());
-    std::vector<transforms::TransformStats> stats(ready_.size());
-    for (size_t i = 0; i < ready_.size(); ++i) {
-        pool_->submit([this, i, &tensors, &stats] {
-            transforms::CompiledGraph graph(program_);
-            dwrf::RowBatch batch = std::move(ready_[i]);
-            stats[i] = graph.apply(batch);
-            tensors[i].bytes = batch.payloadBytes();
-            tensors[i].data = std::move(batch);
-        });
-    }
-    pool_->wait();
-    ready_.clear();
-    for (size_t i = 0; i < tensors.size(); ++i) {
-        transform_stats_.merge(stats[i]);
-        metrics_.inc("stream.tensors");
-        buffer_.push_back(std::move(tensors[i]));
-    }
-}
-
-void
 StreamWorker::flush()
 {
     emitBatch();
-    transformReady();
 }
 
 std::optional<TensorBatch>

@@ -12,12 +12,9 @@
  * graph per mini-batch, and buffers ready-to-load tensors exactly
  * like a batch-mode Worker.
  *
- * With `num_transform_threads > 0` the transform stage fans each
- * pump()'s full batches out to a thread pool (each task compiles its
- * own executable graph — compiled ops hold per-instance state), and
- * tensors are emitted in arrival order. Decode stays on the calling
- * thread: the stream is a strictly ordered log. pump()/flush()/
- * popTensor() themselves must be called from one thread.
+ * Decode and transform both run on the pump() caller's thread, in
+ * stream order: the stream is a strictly ordered log. pump()/flush()/
+ * popTensor() must be called from one thread.
  */
 
 #ifndef DSI_DPP_STREAM_SESSION_H
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "dpp/worker.h"
 #include "scribe/scribe.h"
 #include "transforms/graph.h"
@@ -43,12 +39,6 @@ struct StreamSessionSpec
     std::vector<FeatureId> projection;
     dwrf::Buffer serialized_transforms;
     uint32_t batch_size = 256;
-
-    /**
-     * Transform fan-out threads (0 = transform inline on the pump()
-     * caller's thread).
-     */
-    uint32_t num_transform_threads = 0;
 
     void
     setTransforms(const transforms::TransformGraph &graph)
@@ -95,17 +85,12 @@ class StreamWorker
 
   private:
     void emitBatch();
-    /** Transform collected batches (parallel mode) into tensors. */
-    void transformReady();
 
     scribe::LogDevice &device_;
     StreamSessionSpec spec_;
     scribe::StreamReader reader_;
-    transforms::TransformGraph program_;
     std::unique_ptr<transforms::CompiledGraph> graph_;
-    std::unique_ptr<ThreadPool> pool_;
     std::vector<dwrf::Row> pending_;
-    std::vector<dwrf::RowBatch> ready_; ///< awaiting parallel transform
     std::deque<TensorBatch> buffer_;
     SimTime last_sample_time_ = 0;
     transforms::TransformStats transform_stats_;

@@ -15,8 +15,8 @@
  * The two are bit-identical by contract — accepting and rejecting
  * exactly the same inputs and producing exactly the same values —
  * and `tests/dwrf_encoding_test.cc` enforces it differentially on
- * random and adversarial streams. `bench/perf_suite` measures the
- * speedup (BENCH_decode.json).
+ * random and adversarial streams. `bench/codec_bench` measures the
+ * speedup per encoding.
  */
 
 #ifndef DSI_DWRF_ENCODING_H

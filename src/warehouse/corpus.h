@@ -130,6 +130,40 @@ buildDupMiniCorpus(const warehouse::SchemaParams &params,
         storage_options);
 }
 
+/**
+ * The RecD storage corpus: long hot lists resampled Zipf(1.05) from a
+ * pool of 384 payloads, 2 partitions x 32,768 rows in 8,192-row files
+ * of 2,048-row stripes. bench/codec_bench measures it and
+ * tests/dwrf_dedup_test.cc holds its plain/dict storage-savings bar,
+ * so the bar and the bench always describe the same bytes.
+ */
+struct DupCorpusShape
+{
+    SchemaParams schema{.name = "dedupbench",
+                        .float_features = 12,
+                        .sparse_features = 10,
+                        .coverage_u = 0.6,
+                        .avg_length = 16,
+                        .seed = 91};
+    DupParams dup{.pool_size = 384, .alpha = 1.05, .seed = 91 ^ 0xD0D0};
+    uint32_t partitions = 2;
+    uint64_t rows_per_partition = 32768;
+    uint64_t rows_per_file = 8192;
+    uint32_t rows_per_stripe = 2048;
+};
+
+/** Write `shape` plain, or list-dictionary encoded when `dedup`. */
+inline MiniCorpus
+buildDupMiniCorpus(const DupCorpusShape &shape, bool dedup)
+{
+    dwrf::WriterOptions wo;
+    wo.rows_per_stripe = shape.rows_per_stripe;
+    wo.dedup = dedup;
+    return buildDupMiniCorpus(shape.schema, shape.dup, shape.partitions,
+                              shape.rows_per_partition,
+                              shape.rows_per_file, wo);
+}
+
 } // namespace dsi::warehouse
 
 #endif // DSI_WAREHOUSE_CORPUS_H

@@ -90,11 +90,6 @@ TEST(ThreadPool, DestructorDrainsPendingTasks)
     EXPECT_EQ(done.load(), 50);
 }
 
-TEST(ThreadPool, HardwareConcurrencyIsPositive)
-{
-    EXPECT_GE(ThreadPool::hardwareConcurrency(), 1u);
-}
-
 TEST(BoundedQueue, FifoWithinCapacity)
 {
     BoundedQueue<int> q(4);

@@ -3,9 +3,8 @@
  * Tests for the parallel DPP worker data plane: the extract/transform
  * thread pipeline, tensor-buffer backpressure under concurrent
  * producers, drain/shutdown quiesce, concurrent popTensor() clients,
- * parallel sessions (including worker-failure injection), and the
- * StreamWorker transform fan-out. This suite is the tier-1 TSan
- * target (-DDSI_SANITIZE=thread).
+ * and parallel sessions (including worker-failure injection). This
+ * suite is the tier-1 TSan target (-DDSI_SANITIZE=thread).
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +22,6 @@
 #include "common/fault.h"
 #include "dpp/session.h"
 #include "dwrf/reader.h"
-#include "dpp/stream_session.h"
-#include "etl/entries.h"
 #include "test_fixtures.h"
 #include "warehouse/datagen.h"
 
@@ -643,50 +640,6 @@ TEST_F(DppParallelTest, SingleKnobImpliesBothStages)
     EXPECT_EQ(worker.metrics().gauge("worker.extract_threads"), 1.0);
     EXPECT_EQ(worker.metrics().gauge("worker.transform_threads"),
               2.0);
-}
-
-TEST(StreamWorkerParallel, TransformFanOutMatchesInline)
-{
-    // Publish labeled rows to a stream, then preprocess them twice:
-    // inline and with a transform thread pool. Same tensors, same
-    // order.
-    auto schema = warehouse::makeSchema(smallParams());
-    warehouse::RowGenerator gen(schema, 123);
-    scribe::LogDevice dev;
-    auto rows = gen.batch(700);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        dwrf::Buffer payload;
-        payload.push_back(i % 3 == 0 ? 1 : 0); // label byte
-        etl::encodeFeatures(rows[i], payload);
-        dev.append("labeled", static_cast<SimTime>(i), i, payload);
-    }
-
-    StreamSessionSpec spec;
-    spec.batch_size = 100;
-    transforms::ModelGraphParams gp;
-    gp.derived_features = 2;
-    std::vector<FeatureId> projection;
-    for (const auto &f : schema.features)
-        projection.push_back(f.id);
-    spec.setTransforms(
-        transforms::makeModelGraph(schema, projection, gp));
-
-    auto run = [&](uint32_t threads) {
-        StreamSessionSpec s = spec;
-        s.num_transform_threads = threads;
-        StreamWorker worker(dev, s);
-        EXPECT_EQ(worker.pump(), 700u);
-        worker.flush();
-        std::vector<std::pair<uint32_t, Bytes>> out;
-        while (auto t = worker.popTensor())
-            out.emplace_back(t->data.rows, t->bytes);
-        return out;
-    };
-
-    auto inline_out = run(0);
-    auto parallel_out = run(4);
-    EXPECT_EQ(inline_out.size(), 7u);
-    EXPECT_EQ(inline_out, parallel_out); // order preserved
 }
 
 } // namespace

@@ -450,6 +450,20 @@ TEST(DedupFile, DecodesIdenticallyToPlainAndShrinks)
     EXPECT_GT(dedup_stats.dict_list_refs, 0u);
 }
 
+TEST(DedupFile, RecdCorpusMeetsStorageSavingsBar)
+{
+    // RecD's win is stored bytes, which are deterministic: on the RecD
+    // corpus (the shape bench/codec_bench reports) list-dictionary
+    // DWRF must store at least 1.5x fewer bytes than plain encoding.
+    warehouse::DupCorpusShape shape;
+    auto plain = warehouse::buildDupMiniCorpus(shape, false);
+    auto dict = warehouse::buildDupMiniCorpus(shape, true);
+    double plain_bytes = static_cast<double>(plain.table().totalBytes());
+    double dict_bytes = static_cast<double>(dict.table().totalBytes());
+    EXPECT_GE(plain_bytes / dict_bytes, 1.5)
+        << "plain " << plain_bytes << " B, dict " << dict_bytes << " B";
+}
+
 TEST(DedupFile, WriterStatsAccountEveryList)
 {
     auto rows = dupRows(1024);

@@ -193,8 +193,8 @@ TEST(ValueEncoding, MalformedRejected)
 // getSignedVarintBlock, rleDecode, decodeValues) promise bit-identical
 // accept/reject and output to their scalar references on EVERY input,
 // including truncated, overlong, and adversarial streams. These tests
-// are the proof backing BENCH_decode.json: the speedups come from the
-// same answers computed faster.
+// are the proof backing bench/codec_bench's decode table: the speedups
+// come from the same answers computed faster.
 
 /**
  * Reference decode: scalar getVarint in a loop, up to `max_values`.

@@ -41,8 +41,8 @@ makeMiniWarehouse(const warehouse::SchemaParams &params,
  * Duplicated-corpus variant (RecD shape): rows re-sample a fixed pool
  * of `dup.pool_size` distinct feature payloads Zipf(`dup.alpha`)-
  * skewed, each draw with a fresh label. Shared by the dedup
- * differential/codec tests and bench/dedup_bench so they all measure
- * the same corpus shape. Storage defaults match makeMiniWarehouse.
+ * differential and codec tests so they all measure the same corpus
+ * shape. Storage defaults match makeMiniWarehouse.
  */
 inline MiniWarehouse
 makeDupMiniWarehouse(const warehouse::SchemaParams &params,
