@@ -130,9 +130,9 @@ inline constexpr const char *kFaultCorrupt =
     "fault.tectonic.read.corrupt";
 /** The worker.crash fault point fired on a worker. */
 inline constexpr const char *kFaultWorkerCrash = "fault.worker.crash";
-/** The client suppressed a replayed (already-delivered) batch. */
+/** The fleet drain suppressed a replayed (already-delivered) batch. */
 inline constexpr const char *kDuplicateSuppressed =
-    "client.duplicate_suppressed";
+    "fleet.duplicate_suppressed";
 /** The fleet preempted a worker's split for a higher class (a0 =
  * victim tenant, a1 = worker). */
 inline constexpr const char *kFleetPreempt = "fleet.preempted";

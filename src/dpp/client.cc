@@ -29,9 +29,8 @@ partitionedRoundRobin(uint32_t index, uint32_t total_clients,
 }
 
 Client::Client(ClientId index, uint32_t total_clients,
-               std::vector<Worker *> workers, ClientOptions options,
-               DeliveryLedger *ledger)
-    : id_(index), ledger_(ledger)
+               std::vector<Worker *> workers, ClientOptions options)
+    : id_(index)
 {
     auto picks = partitionedRoundRobin(
         index, total_clients, static_cast<uint32_t>(workers.size()),
@@ -56,19 +55,6 @@ Client::next()
         if (!tensor) {
             cursor_ = (cursor_ + 1) % connections_.size();
             ++tries;
-            continue;
-        }
-        if (ledger_ &&
-            !ledger_->claim(tensor->split_id, tensor->first_row)) {
-            // Replay of a batch some client already delivered
-            // (requeued split): suppress it, and keep polling this
-            // worker — the pop made progress, so reset the cursor
-            // sweep.
-            metrics_.inc("client.duplicates_suppressed");
-            trace::instant(trace::events::kDuplicateSuppressed,
-                           tensor->trace, tensor->split_id,
-                           tensor->first_row);
-            tries = 0;
             continue;
         }
         cursor_ = (cursor_ + 1) % connections_.size();

@@ -17,7 +17,6 @@
 
 #include "common/deadline.h"
 #include "common/metrics.h"
-#include "dpp/ledger.h"
 #include "dpp/worker.h"
 
 namespace dsi::dpp {
@@ -35,12 +34,12 @@ class Client
   public:
     /**
      * Build client `index` of `total_clients`, partitioned over the
-     * given Worker pool. `ledger` (optional, session-owned) enables
-     * exactly-once suppression of replayed batches.
+     * given Worker pool. A Client delivers whatever its workers
+     * serve; exactly-once suppression of replayed batches is the
+     * fleet drain's (a tenant's DeliveryLedger).
      */
     Client(ClientId index, uint32_t total_clients,
-           std::vector<Worker *> workers, ClientOptions options = {},
-           DeliveryLedger *ledger = nullptr);
+           std::vector<Worker *> workers, ClientOptions options = {});
 
     ClientId id() const { return id_; }
 
@@ -75,7 +74,6 @@ class Client
     ClientId id_;
     std::vector<Worker *> connections_;
     size_t cursor_ = 0;
-    DeliveryLedger *ledger_ = nullptr;
     Metrics metrics_;
 };
 

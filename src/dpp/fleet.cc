@@ -109,7 +109,7 @@ FleetScheduler::close()
 }
 
 // ---------------------------------------------------------------------
-// WorkSource surface (called concurrently by every worker thread).
+// Worker surface (called concurrently by every worker thread).
 
 WorkerId
 FleetScheduler::registerWorker()
@@ -129,20 +129,6 @@ FleetScheduler::heartbeat(WorkerId worker)
         return;
     std::scoped_lock lock(mutex_);
     last_heartbeat_[worker] = clock_();
-}
-
-WorkerId
-FleetScheduler::masterIdLocked(TenantState &st, WorkerId worker)
-{
-    auto it = st.master_ids.find(worker);
-    if (it != st.master_ids.end())
-        return it->second;
-    // First contact between this worker and this tenant: register it
-    // with the tenant's Master (workers meet tenants lazily — a fleet
-    // worker cannot know its tenants up front).
-    WorkerId mid = st.master->registerWorker();
-    st.master_ids.emplace(worker, mid);
-    return mid;
 }
 
 SplitGrant
@@ -227,18 +213,17 @@ FleetScheduler::acquireSplit(WorkerId worker,
         st.span = trace::beginSpan(trace::spans::kFleetTenant,
                                    trace::kNoSpan, st.id);
     trace::ScopedParent tenant_parent(st.span);
-    WorkerId mid = masterIdLocked(st, worker);
-    SplitGrant g = st.master->acquireSplit(mid, load);
+    SplitGrant g = st.master->acquireSplit(worker, load);
     if (g.status != GrantStatus::Granted) {
-        // Overloaded (this worker is over the tenant's admission
-        // caps) passes through so the worker backs off; anything else
-        // becomes Standby — other tenants may still feed it later.
-        if (g.status != GrantStatus::Overloaded)
+        // Overloaded (over the tenant's admission caps) passes through
+        // so the worker backs off, and Rejected (a worker declared
+        // dead) so it stops; NoWork becomes Standby — other tenants
+        // may still feed the worker later.
+        if (g.status == GrantStatus::NoWork)
             g.status = GrantStatus::Standby;
         return g;
     }
     g.tenant = st.id;
-    grants_[{st.id, g.split->id}] = worker;
     ++st.granted;
     metrics_.inc(tenantMetric(st.id, "granted"));
     if (st.waiting_since >= 0) {
@@ -257,22 +242,12 @@ FleetScheduler::tenantLocked(TenantId tenant) const
 }
 
 void
-FleetScheduler::dropGrantLocked(TenantId tenant, uint64_t split_id,
-                                WorkerId worker)
-{
-    auto it = grants_.find({tenant, split_id});
-    if (it != grants_.end() && it->second == worker)
-        grants_.erase(it);
-}
-
-void
 FleetScheduler::completeSplit(WorkerId worker, TenantId tenant,
                               uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
     TenantState &st = tenantLocked(tenant);
-    st.master->completeSplit(masterIdLocked(st, worker), split_id);
-    dropGrantLocked(tenant, split_id, worker);
+    st.master->completeSplit(worker, split_id);
     // The tenant's lifetime span closes with its last split.
     if (st.span != trace::kNoSpan && st.master->progress().done()) {
         trace::endSpan(st.span, trace::spans::kFleetTenant);
@@ -285,9 +260,7 @@ FleetScheduler::failSplit(WorkerId worker, TenantId tenant,
                           uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    TenantState &st = tenantLocked(tenant);
-    st.master->failSplit(masterIdLocked(st, worker), split_id);
-    dropGrantLocked(tenant, split_id, worker);
+    tenantLocked(tenant).master->failSplit(worker, split_id);
 }
 
 void
@@ -295,9 +268,7 @@ FleetScheduler::releaseSplit(WorkerId worker, TenantId tenant,
                              uint64_t split_id)
 {
     std::scoped_lock lock(mutex_);
-    TenantState &st = tenantLocked(tenant);
-    st.master->releaseSplit(masterIdLocked(st, worker), split_id);
-    dropGrantLocked(tenant, split_id, worker);
+    tenantLocked(tenant).master->releaseSplit(worker, split_id);
 }
 
 const SessionSpec &
@@ -384,8 +355,8 @@ FleetScheduler::failWorkerAt(size_t i)
 bool
 FleetScheduler::workerHoldsGrantsLocked(WorkerId worker) const
 {
-    for (const auto &[key, wid] : grants_)
-        if (wid == worker)
+    for (const auto &[id, st] : tenants_)
+        if (st->master->holdsSplit(worker))
             return true;
     return false;
 }
@@ -393,15 +364,10 @@ FleetScheduler::workerHoldsGrantsLocked(WorkerId worker) const
 void
 FleetScheduler::failWorkerLocked(WorkerId worker)
 {
-    // Requeue everything the dead worker held, on every tenant Master
-    // it ever served (failWorker is a no-op where it held nothing).
-    for (auto &[id, st] : tenants_) {
-        auto mi = st->master_ids.find(worker);
-        if (mi != st->master_ids.end())
-            st->master->failWorker(mi->second);
-    }
-    for (auto it = grants_.begin(); it != grants_.end();)
-        it = it->second == worker ? grants_.erase(it) : std::next(it);
+    // Requeue everything the dead worker held, on every tenant Master,
+    // and make each of them reject the worker from now on.
+    for (auto &[id, st] : tenants_)
+        st->master->failWorker(worker);
 }
 
 bool
@@ -497,13 +463,6 @@ FleetScheduler::maybePreempt()
     WorkerId victim_id = 0;
     {
         std::scoped_lock lock(mutex_);
-        // Idle capacity present: the starved tenant's reservation will
-        // be honored by a natural grant; preempting would only thrash.
-        for (auto &w : workers_)
-            if (!w->crashed() && !w->draining() &&
-                !workerHoldsGrantsLocked(w->id()))
-                return false;
-
         // Most important tenant starved below its reservation.
         TenantState *starved = nullptr;
         for (auto &[id, st] : tenants_) {
@@ -520,26 +479,31 @@ FleetScheduler::maybePreempt()
         if (!starved)
             return false;
 
+        // Idle capacity present: the starved tenant's reservation will
+        // be honored by a natural grant; preempting would only thrash.
+        for (auto &w : workers_)
+            if (!w->crashed() && !w->draining() &&
+                !workerHoldsGrantsLocked(w->id()))
+                return false;
+
         // Victim: a live worker holding a strictly-lower-class
-        // tenant's split; the lowest class pays first.
+        // tenant's split; the lowest class pays first, ties going to
+        // the lowest tenant id, then the lowest split id.
         JobClass victim_class = starved->opts.job_class;
-        for (const auto &[key, wid] : grants_) {
-            const TenantState &vt = *tenants_.at(key.first);
-            if (vt.opts.job_class >= starved->opts.job_class)
+        for (const auto &[id, st] : tenants_) {
+            if (st->opts.job_class >= victim_class)
                 continue;
-            if (victim_idx != SIZE_MAX &&
-                vt.opts.job_class >= victim_class)
-                continue;
-            for (size_t i = 0; i < workers_.size(); ++i) {
-                if (workers_[i]->id() != wid)
+            for (const auto &[split_id, holder] : st->master->holders()) {
+                auto w = std::find_if(
+                    workers_.begin(), workers_.end(),
+                    [&](const auto &p) { return p->id() == holder; });
+                if (w == workers_.end() || (*w)->draining() ||
+                    (*w)->crashed())
                     continue;
-                if (!workers_[i]->draining() &&
-                    !workers_[i]->crashed()) {
-                    victim_idx = i;
-                    victim_tenant = key.first;
-                    victim_id = wid;
-                    victim_class = vt.opts.job_class;
-                }
+                victim_idx = static_cast<size_t>(w - workers_.begin());
+                victim_tenant = id;
+                victim_id = holder;
+                victim_class = st->opts.job_class;
                 break;
             }
         }

@@ -9,9 +9,12 @@
  * exploratory ones. FleetScheduler is that control plane in miniature:
  * it multiplexes many concurrent sessions — each with its own Master,
  * exactly-once DeliveryLedger, and transform program — over a single
- * shared, auto-scaled Worker pool, behind the WorkSource interface
- * Workers pull splits through. It is the only control plane in the
- * repo: InProcessSession (session.h) is a one-tenant FleetScheduler.
+ * shared, auto-scaled Worker pool. It is the only control plane in
+ * the repo and the only thing a Worker talks to: InProcessSession
+ * (session.h) is a one-tenant FleetScheduler, and tests and the
+ * trainer's stall probe drive Workers through fleet.workerAt(i).
+ * Worker ids are fleet-wide and passed straight through to every
+ * tenant Master, which is the single record of who holds which split.
  *
  * Scheduling policy (per acquireSplit call, two passes):
  *
@@ -40,9 +43,11 @@
  *
  * **Fault tolerance.** The fleet runs the heartbeat leases (every
  * acquireSplit / heartbeat renews; a Master has no lease monitor,
- * since one worker serves many Masters): a silent worker holding
- * grants is declared dead, failWorker() requeues its splits on every
- * tenant Master it served, and a replacement joins the pool — the
+ * since one worker serves many Masters): a silent worker that some
+ * tenant Master still records as a split holder is declared dead,
+ * failWorker() requeues its splits on every tenant Master (which
+ * answer its later requests Rejected), and a replacement joins the
+ * pool — the
  * replacement is a fresh process, but the requeued splits carry each
  * Master's delivered-stripe watermark, so it re-extracts only
  * undelivered tails. Every tick also runs each Master's per-split
@@ -67,7 +72,7 @@
  * its tenant); fleet.deliver spans per delivered batch; and a
  * fleet.preempted instant per preemption.
  *
- * Thread safety: the WorkSource surface accepts concurrent calls from
+ * Thread safety: the worker surface accepts concurrent calls from
  * every worker thread (guarded by one fleet mutex; lock order is
  * always fleet -> master, never the reverse). The pool-management /
  * driver surface (tick, run, addTenant, failWorkerAt, workerAt) is
@@ -209,7 +214,7 @@ struct FleetResult
 };
 
 /** The shared-pool, multi-session DPP control plane. */
-class FleetScheduler : public WorkSource
+class FleetScheduler
 {
   public:
     /** Observes every delivered (deduped) tensor, per tenant. */
@@ -237,19 +242,43 @@ class FleetScheduler : public WorkSource
      * done, workers see NoWork instead of Standby and idle out. */
     void close();
 
-    // --- WorkSource (called concurrently by every worker thread) ---
-    WorkerId registerWorker() override;
-    SplitGrant acquireSplit(WorkerId worker,
-                            const WorkerLoad &load) override;
+    // --- worker surface (called concurrently by every worker thread) ---
+
+    /** Register a Worker (returns its fleet-wide id). */
+    WorkerId registerWorker();
+
+    /**
+     * The admission-controlled request path. A worker the fleet
+     * declared dead is Rejected; once close()d with every tenant done
+     * the answer is NoWork; a fleet merely between arrivals answers
+     * Standby (the worker stays alive and re-polls); a caller over a
+     * tenant's admission caps is shed with Overloaded. A Granted split
+     * carries the tenant it must be accounted against.
+     */
+    SplitGrant acquireSplit(WorkerId worker, const WorkerLoad &load);
+
+    /** A Worker reports a tenant's split finished (delivery-gated). */
     void completeSplit(WorkerId worker, TenantId tenant,
-                       uint64_t split_id) override;
-    void failSplit(WorkerId worker, TenantId tenant,
-                   uint64_t split_id) override;
+                       uint64_t split_id);
+
+    /** A Worker gives up on a tenant's split (unreadable data). */
+    void failSplit(WorkerId worker, TenantId tenant, uint64_t split_id);
+
+    /**
+     * A Worker hands a tenant's split back unfinished (deadline
+     * blown, drain, or preemption): requeued, no attempt penalty.
+     */
     void releaseSplit(WorkerId worker, TenantId tenant,
-                      uint64_t split_id) override;
-    void heartbeat(WorkerId worker) override;
-    const SessionSpec &tenantSpec(TenantId tenant) const override;
-    const dwrf::Buffer &tenantProgram(TenantId tenant) const override;
+                      uint64_t split_id);
+
+    /** Liveness signal from a worker's data-plane activity. */
+    void heartbeat(WorkerId worker);
+
+    /** The session spec a tenant's splits are processed under. */
+    const SessionSpec &tenantSpec(TenantId tenant) const;
+
+    /** Serialized transform program for a tenant (pulled lazily). */
+    const dwrf::Buffer &tenantProgram(TenantId tenant) const;
 
     // --- driver surface (single-threaded) ---
 
@@ -352,8 +381,6 @@ class FleetScheduler : public WorkSource
         double waiting_since = -1.0;
         /** Lazily-opened fleet.tenant span (a0 = tenant id). */
         trace::SpanId span = trace::kNoSpan;
-        /** Fleet worker id -> this Master's worker id. */
-        std::map<WorkerId, WorkerId> master_ids;
         uint64_t granted = 0;
         uint64_t shed = 0;
         uint64_t preempted = 0;
@@ -362,14 +389,9 @@ class FleetScheduler : public WorkSource
     };
 
     TenantState &tenantLocked(TenantId tenant) const;
-    /** Register `worker` with the tenant's Master on first contact. */
-    WorkerId masterIdLocked(TenantState &st, WorkerId worker);
-    /** Forget `worker`'s grant of (tenant, split), if it still holds
-     * it (a deadline sweep may have re-granted it to another worker). */
-    void dropGrantLocked(TenantId tenant, uint64_t split_id,
-                         WorkerId worker);
     /** Requeue every split `worker` holds, on every tenant Master. */
     void failWorkerLocked(WorkerId worker);
+    /** True while some tenant Master records `worker` as a holder. */
     bool workerHoldsGrantsLocked(WorkerId worker) const;
     TenantStats tenantStatsLocked(const TenantState &st) const;
     void launchWorker();
@@ -397,9 +419,6 @@ class FleetScheduler : public WorkSource
     TenantId next_tenant_ = 0;
     WorkerId next_worker_ = 0;
     std::map<WorkerId, double> last_heartbeat_;
-    /** (tenant, split) -> holding fleet worker, for victim selection
-     * and lease recovery. */
-    std::map<std::pair<TenantId, uint64_t>, WorkerId> grants_;
     bool closed_ = false;
     uint64_t tensors_delivered_ = 0;
     uint64_t rows_delivered_ = 0;
@@ -413,8 +432,8 @@ class FleetScheduler : public WorkSource
     std::function<double()> clock_;
 
     // Pool state: driver thread only (never touched by worker threads;
-    // workers reach the fleet exclusively through the WorkSource
-    // surface above).
+    // workers reach the fleet exclusively through the worker surface
+    // above).
     std::vector<std::unique_ptr<Worker>> workers_;
     /** Metrics and stats of replaced / retired workers, folded at
      * removal so results and collectMetrics() still count their work. */

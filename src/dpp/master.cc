@@ -164,22 +164,12 @@ Master::enumerateSplits(const warehouse::Warehouse &warehouse)
                  static_cast<double>(splits_.size()));
 }
 
-WorkerId
-Master::registerWorker()
-{
-    std::scoped_lock lock(mutex_);
-    WorkerId id = next_worker_++;
-    live_workers_.insert(id);
-    metrics_.inc("master.workers_registered");
-    return id;
-}
-
 SplitGrant
 Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
 {
     std::scoped_lock lock(mutex_);
     SplitGrant grant;
-    if (!live_workers_.count(worker)) {
+    if (dead_workers_.count(worker)) {
         // A zombie (declared dead by the control plane) asking for more
         // work: its old splits are already requeued, so feeding it
         // would double-process rows. Starve it instead.
@@ -238,10 +228,9 @@ Master::acquireSplit(WorkerId worker, const WorkerLoad &load)
         // extraction, storage reads, transformation, delivery —
         // parents on this span, which stays open until the split
         // reaches a terminal state at this Master. The ambient parent
-        // is kNoSpan for a plain session (grants are forest roots, as
-        // before) and the tenant's fleet.tenant span under a fleet,
-        // which is how every span in a split's lineage becomes
-        // attributable to one tenant.
+        // is the tenant's fleet.tenant span the fleet opened, which is
+        // how every span in a split's lineage becomes attributable to
+        // one tenant.
         grant.trace = trace::beginSpan(trace::spans::kMasterGrant,
                                        trace::currentParent(),
                                        split_id, worker);
@@ -386,7 +375,7 @@ void
 Master::failWorker(WorkerId worker)
 {
     std::scoped_lock lock(mutex_);
-    live_workers_.erase(worker);
+    dead_workers_.insert(worker);
     // Stateless Workers: just requeue whatever they were processing.
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second == worker) {
@@ -421,6 +410,23 @@ Master::progress() const
     p.pending_splits = pending_.size();
     p.failed_splits = failed_.size();
     return p;
+}
+
+bool
+Master::holdsSplit(WorkerId worker) const
+{
+    std::scoped_lock lock(mutex_);
+    for (const auto &[split_id, holder] : inflight_)
+        if (holder == worker)
+            return true;
+    return false;
+}
+
+std::map<uint64_t, WorkerId>
+Master::holders() const
+{
+    std::scoped_lock lock(mutex_);
+    return inflight_;
 }
 
 MasterCheckpoint

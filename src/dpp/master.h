@@ -9,21 +9,21 @@
  * Workers' splits (Workers are stateless, so no Worker checkpoint is
  * needed), and is itself replicable via checkpoint/restore.
  *
- * Thread safety: the split-distribution API (registerWorker,
- * acquireSplit, completeSplit, failWorker, progress, checkpoint,
- * restore) is mutex-guarded so many parallel Workers — and the many
- * extract threads inside each one — can call in concurrently, as the
- * RPC server of a production Master would.
+ * Thread safety: the split-distribution API (acquireSplit,
+ * completeSplit, failWorker, progress, checkpoint, restore) is
+ * mutex-guarded so many parallel Workers — and the many extract
+ * threads inside each one — can call in concurrently, as the RPC
+ * server of a production Master would.
  *
- * A Master is a single-tenant WorkSource (work_source.h): Workers
- * wired straight to a Master see every grant tagged tenant 0, as the
- * trainer model and the unit tests do. The control plane
- * (FleetScheduler, fleet.h — an InProcessSession is a one-tenant
- * fleet) puts itself in front of one Master per session. Liveness is
- * the control plane's job: a Master has no lease monitor (one worker
- * serves many Masters, so the fleet keeps the leases); it learns of
- * a dead worker through failWorker() and afterwards rejects that
- * worker's requests as a zombie's.
+ * Workers never call a Master directly: they pull from the control
+ * plane (FleetScheduler, fleet.h — an InProcessSession is a
+ * one-tenant fleet), which puts one Master per session behind itself
+ * and passes each worker's fleet-wide WorkerId straight through. The
+ * Master is the single record of which worker holds which split
+ * (holdsSplit, holders). Liveness is the fleet's job: a Master has no
+ * lease monitor (one worker serves many Masters, so the fleet keeps
+ * the leases); it learns of a dead worker through failWorker() and
+ * afterwards rejects that worker's requests as a zombie's.
  */
 
 #ifndef DSI_DPP_MASTER_H
@@ -45,10 +45,53 @@
 #include "dpp/checkpoint_journal.h"
 #include "dpp/ledger.h"
 #include "dpp/spec.h"
-#include "dpp/work_source.h"
 #include "warehouse/table.h"
 
 namespace dsi::dpp {
+
+/** Outcome of a split request under admission control. */
+enum class GrantStatus
+{
+    Granted,    ///< a split was leased to the caller
+    NoWork,     ///< no pending work will ever arrive — idle or drain
+    Standby,    ///< nothing *right now*; stay alive and ask again
+    Overloaded, ///< request shed: back off, then ask again
+    Rejected,   ///< caller is a zombie; it must stop working
+};
+
+/**
+ * Worker-side load snapshot attached to a split request, the signal
+ * admission control sheds on. A production Worker piggybacks this on
+ * its getWork RPC.
+ */
+struct WorkerLoad
+{
+    uint64_t buffered_tensors = 0; ///< output buffer occupancy
+    bool buffer_full = false;      ///< trainers are not keeping up
+};
+
+/** A granted split plus the time budget it must complete within. */
+struct SplitGrant
+{
+    GrantStatus status = GrantStatus::NoWork;
+    std::optional<Split> split;
+    Deadline deadline; ///< unbounded when deadlines are disabled
+
+    /**
+     * Which tenant's session this split belongs to, stamped by the
+     * fleet (a Master leaves it 0). Every lifecycle call the worker
+     * makes for the split must echo it back.
+     */
+    TenantId tenant = 0;
+
+    /**
+     * Root span of the split's lineage (master.grant), opened when
+     * the split is Granted and closed when it reaches a terminal
+     * state at the Master. Everything the worker does with the split
+     * parents on this id. kNoSpan when tracing is off.
+     */
+    trace::SpanId trace = trace::kNoSpan;
+};
 
 /**
  * Serializable Master state for fault tolerance / replication.
@@ -182,7 +225,7 @@ struct AdmissionOptions
 };
 
 /** The DPP control-plane master for one session. */
-class Master : public WorkSource
+class Master
 {
   public:
     Master(const warehouse::Warehouse &warehouse, SessionSpec spec);
@@ -198,9 +241,6 @@ class Master : public WorkSource
         return spec_.serialized_transforms;
     }
 
-    /** Register a Worker (returns its id). */
-    WorkerId registerWorker() override;
-
     /**
      * The admission-controlled request path — the ONLY way to get a
      * split. (The old no-load requestSplit() wrapper is gone: it
@@ -213,11 +253,10 @@ class Master : public WorkSource
      * Granted with the session's per-split deadline attached.
      *
      * When tracing is on, the grant's lineage-root span parents on
-     * the caller's ambient trace::currentParent() — kNoSpan for a
-     * plain session, the tenant's fleet.tenant span under a fleet.
+     * the caller's ambient trace::currentParent(): the tenant's
+     * fleet.tenant span when the fleet calls in.
      */
-    SplitGrant acquireSplit(WorkerId worker,
-                            const WorkerLoad &load) override;
+    SplitGrant acquireSplit(WorkerId worker, const WorkerLoad &load);
 
     /**
      * A Worker voluntarily returns an unfinished split (its deadline
@@ -254,32 +293,6 @@ class Master : public WorkSource
      */
     void failSplit(WorkerId worker, uint64_t split_id);
 
-    // WorkSource overrides: a Master is a single-tenant source, so
-    // the tenant id is ignored (a fleet routes per tenant instead).
-    void completeSplit(WorkerId worker, TenantId,
-                       uint64_t split_id) override
-    {
-        completeSplit(worker, split_id);
-    }
-    void failSplit(WorkerId worker, TenantId,
-                   uint64_t split_id) override
-    {
-        failSplit(worker, split_id);
-    }
-    void releaseSplit(WorkerId worker, TenantId,
-                      uint64_t split_id) override
-    {
-        releaseSplit(worker, split_id);
-    }
-    const SessionSpec &tenantSpec(TenantId) const override
-    {
-        return spec_;
-    }
-    const dwrf::Buffer &tenantProgram(TenantId) const override
-    {
-        return transformProgram();
-    }
-
     /**
      * The control plane declares a Worker dead: its in-flight splits
      * return to the pending queue for other Workers, and its later
@@ -287,13 +300,16 @@ class Master : public WorkSource
      */
     void failWorker(WorkerId worker);
 
-    /** No-op: leases are the control plane's (see file doc). */
-    void heartbeat(WorkerId) override {}
-
     /** Total attempts a split gets before it is marked failed. */
     void setMaxSplitAttempts(uint32_t attempts);
 
     SessionProgress progress() const;
+
+    /** True while `worker` holds at least one in-flight split. */
+    bool holdsSplit(WorkerId worker) const;
+
+    /** Holder of every in-flight split, by split id. */
+    std::map<uint64_t, WorkerId> holders() const;
 
     // --- durable control-plane checkpointing ---
 
@@ -383,8 +399,7 @@ class Master : public WorkSource
     std::map<uint64_t, trace::SpanId> grant_spans_; ///< open grants
     AdmissionOptions admission_;
     uint32_t max_split_attempts_ = 3;
-    WorkerId next_worker_ = 0;
-    std::set<WorkerId> live_workers_;
+    std::set<WorkerId> dead_workers_; ///< failWorker()ed: zombies
 
     // Durable checkpointing (all guarded by mutex_; the journal is
     // not thread-safe and is serialized here). Lock order:

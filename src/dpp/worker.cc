@@ -3,12 +3,13 @@
 #include "common/backoff.h"
 #include "common/fault.h"
 #include "common/logging.h"
+#include "dpp/fleet.h"
 #include "dwrf/reader.h"
 #include "transforms/dedup.h"
 
 namespace dsi::dpp {
 
-Worker::Worker(WorkSource &control,
+Worker::Worker(FleetScheduler &control,
                const warehouse::Warehouse &warehouse,
                WorkerOptions options)
     : control_(control), warehouse_(warehouse), options_(options),
@@ -799,7 +800,7 @@ Worker::maybeCompleteSplit(SplitKey key)
         }
     }
     // Control-plane call happens outside every lock (lock-order
-    // hygiene: WorkSource implementations take their own mutexes).
+    // hygiene: the fleet takes its own mutex, then a Master's).
     if (complete) {
         control_.completeSplit(id_, key.first, key.second);
         metrics_.inc("worker.splits_completed");

@@ -2,10 +2,10 @@
  * @file
  * DPP data plane: the Worker (Section III-B1).
  *
- * Stateless and *tenant-agnostic*: a Worker only talks to its
- * WorkSource — the FleetScheduler multiplexing one or more sessions,
- * or a bare Master — to fetch splits and per-tenant transform
- * programs, and to whoever drains its buffer (to serve tensors). Every grant
+ * Stateless and *tenant-agnostic*: a Worker only talks to the
+ * FleetScheduler (fleet.h) multiplexing one or more sessions — to
+ * fetch splits and per-tenant transform programs — and to whoever
+ * drains its buffer (to serve tensors). Every grant
  * names the tenant it belongs to; the Worker keys its split progress
  * by (tenant, split), compiles and caches one transform graph per
  * tenant per thread, and echoes the tenant on every lifecycle call,
@@ -67,11 +67,12 @@
 #include "common/trace.h"
 #include "dpp/autoscaler.h"
 #include "dpp/spec.h"
-#include "dpp/work_source.h"
 #include "transforms/graph.h"
 #include "warehouse/table.h"
 
 namespace dsi::dpp {
+
+class FleetScheduler;
 
 /** A preprocessed, ready-to-load tensor batch. */
 struct TensorBatch
@@ -178,12 +179,13 @@ class Worker
 {
   public:
     /**
-     * `control` is the control plane this worker pulls splits from: a
-     * FleetScheduler (sessions and fleets), or a bare Master.
-     * All tenants' data must live in `warehouse` (a fleet shares one
-     * warehouse across its sessions, as production DPP does).
+     * `control` is the fleet this worker pulls splits from (an
+     * InProcessSession is a one-tenant fleet). All tenants' data must
+     * live in `warehouse` (a fleet shares one warehouse across its
+     * sessions, as production DPP does).
      */
-    Worker(WorkSource &control, const warehouse::Warehouse &warehouse,
+    Worker(FleetScheduler &control,
+           const warehouse::Warehouse &warehouse,
            WorkerOptions options = {});
 
     /** Joins pipeline threads (equivalent to stop()). */
@@ -480,7 +482,7 @@ class Worker
     bool pushTensor(TensorBatch tensor, trace::SpanId parent);
     void mergeReadStats(const dwrf::ReadStats &rs);
 
-    WorkSource &control_;
+    FleetScheduler &control_;
     const warehouse::Warehouse &warehouse_;
     WorkerOptions options_;
     WorkerId id_;

@@ -62,22 +62,32 @@ measureStallRounds(const warehouse::Warehouse &warehouse,
     dsi_assert(workers >= 1, "need at least one worker");
     dsi_assert(tensors_per_round >= 1, "need positive demand");
 
-    dpp::Master master(warehouse, std::move(spec));
-    std::vector<std::unique_ptr<dpp::Worker>> pool;
+    // A closed one-tenant fleet whose workers this loop pumps by hand.
+    dpp::FleetOptions options;
+    options.initial_workers = workers;
+    options.preemption = false;
+    dpp::FleetScheduler fleet(warehouse, options);
+    fleet.addTenant(std::move(spec));
+    fleet.close();
+    std::vector<dpp::Worker *> pool;
     for (uint32_t w = 0; w < workers; ++w)
-        pool.push_back(
-            std::make_unique<dpp::Worker>(master, warehouse));
-    std::vector<dpp::Worker *> raw;
-    for (auto &w : pool)
-        raw.push_back(w.get());
-    dpp::Client client(0, 1, raw,
-                       dpp::ClientOptions{workers});
+        pool.push_back(&fleet.workerAt(w));
+    dpp::Client client(0, 1, pool, dpp::ClientOptions{workers});
 
     StallProbeResult result;
+    std::vector<bool> dry(workers);
     for (;;) {
+        // A worker is dry once the fleet has no split left for it: it
+        // idled out, or its poll got Standby (every split is taken and
+        // the rest await delivery).
         bool any_work = false;
-        for (auto &w : pool)
-            any_work = w->pump() || any_work;
+        for (uint32_t w = 0; w < workers; ++w) {
+            const Metrics &m = pool[w]->metrics();
+            double standby = m.counter("worker.standby_polls");
+            bool more = pool[w]->pump();
+            any_work = more || any_work;
+            dry[w] = !more || m.counter("worker.standby_polls") > standby;
+        }
 
         uint32_t got = 0;
         while (got < tensors_per_round) {
@@ -88,8 +98,8 @@ measureStallRounds(const warehouse::Warehouse &warehouse,
             ++result.tensors;
         }
         bool drained = true;
-        for (auto &w : pool)
-            drained = drained && w->drained();
+        for (uint32_t w = 0; w < workers; ++w)
+            drained = drained && dry[w] && pool[w]->buffered() == 0;
         if (!any_work && got == 0 && drained)
             break;
         ++result.rounds;

@@ -83,10 +83,11 @@ struct StallProbeResult
 };
 
 /**
- * Drive a synchronous trainer loop against a real worker pool: each
- * round every worker pumps once and the trainer demands
- * `tensors_per_round`. A round that cannot supply the demand is a
- * stall. Ends when the session drains.
+ * Drive a synchronous trainer loop against the workers of a real
+ * one-tenant fleet: each round every worker pumps once and the
+ * trainer demands `tensors_per_round` through one Client. A round
+ * that cannot supply the demand is a stall, unless every worker is
+ * dry and empty. Ends when the session drains.
  */
 StallProbeResult measureStallRounds(
     const warehouse::Warehouse &warehouse, dpp::SessionSpec spec,

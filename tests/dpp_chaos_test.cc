@@ -21,6 +21,7 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "dpp/session.h"
+#include "fleet_fixture.h"
 #include "test_fixtures.h"
 
 namespace dsi::dpp {
@@ -285,12 +286,12 @@ TEST_F(ChaosTest, PoolGaugesAgreeWithPoolAfterCrashAndCompletion)
     // terminal state *and* at crash, so an observer scraping a dead
     // worker's registry sees the pool's true final footprint — not a
     // stale snapshot from the last clean split.
-    Master master(*mw_.warehouse, chaosSpec(mw_));
-    Worker victim(master, *mw_.warehouse, WorkerOptions{});
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, chaosSpec(mw_));
+    Worker &victim = fleet->workerAt(0);
 
     // The victim's tensors from its incomplete split will replay via
-    // the replacement — dedupe through a ledger exactly as a session
-    // client pool would.
+    // the replacement — dedupe through a ledger exactly as the fleet
+    // drain would.
     DeliveryLedger ledger;
     DeliveryLog log;
     auto deliver = [&](const TensorBatch &t) {
@@ -319,8 +320,8 @@ TEST_F(ChaosTest, PoolGaugesAgreeWithPoolAfterCrashAndCompletion)
     // Recovery: requeue the dead worker's splits and let a fresh
     // worker finish the session; its gauges (published at each
     // complete-split terminal state) stay consistent throughout.
-    master.failWorker(victim.id());
-    Worker replacement(master, *mw_.warehouse, WorkerOptions{});
+    fleet->failWorkerAt(0);
+    Worker &replacement = fleet->workerAt(0);
     bool saw_midrun_publish = false;
     while (replacement.pump()) {
         while (auto t = replacement.popTensor())
@@ -334,7 +335,7 @@ TEST_F(ChaosTest, PoolGaugesAgreeWithPoolAfterCrashAndCompletion)
         }
     }
     EXPECT_TRUE(saw_midrun_publish);
-    EXPECT_TRUE(master.progress().done());
+    EXPECT_TRUE(fleet->tenantProgress(0).done());
     consistent(replacement);
     log.expectExactlyOnce(kTotalRows);
 }

@@ -21,6 +21,7 @@
 #include "common/fault.h"
 #include "dpp/client.h"
 #include "dpp/session.h"
+#include "fleet_fixture.h"
 #include "test_fixtures.h"
 
 namespace dsi::dpp {
@@ -302,10 +303,9 @@ TEST_F(OverloadTest, DeadlineBoundedClientFetchExpires)
 {
     // A trainer fetch against a stalled pipeline must return within
     // its budget instead of hanging. Run the session to completion
-    // first, then ask an exhausted client for more with a bounded
-    // deadline: nullopt, immediately, via the exhausted path — and a
-    // fresh session's client with an already-expired budget gives up
-    // without waiting.
+    // first, then point a client at a worker that never produces and
+    // ask it for more with a bounded deadline: nullopt once the
+    // budget runs out, not an unbounded wait.
     SessionOptions so;
     so.workers = 1;
     InProcessSession session(*mw_.warehouse, overloadSpec(mw_), so);
@@ -313,8 +313,8 @@ TEST_F(OverloadTest, DeadlineBoundedClientFetchExpires)
     session.run(log.sink());
     log.expectExactlyOnce(kTotalRows);
 
-    Worker idle(session.master(), *mw_.warehouse);
-    std::vector<Worker *> pool = {&idle};
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, overloadSpec(mw_));
+    std::vector<Worker *> pool = {&fleet->workerAt(0)};
     Client client(0, 1, pool);
     auto t0 = std::chrono::steady_clock::now();
     auto batch = client.next(Deadline::after(0.01));

@@ -22,6 +22,7 @@
 #include "common/fault.h"
 #include "dpp/session.h"
 #include "dwrf/reader.h"
+#include "fleet_fixture.h"
 #include "test_fixtures.h"
 #include "warehouse/datagen.h"
 
@@ -253,24 +254,41 @@ runDiffCase(const DiffCase &c, bool threaded)
         partitions.push_back(p.id);
     SessionSpec spec = makeSpec(mw, partitions);
     c.tweak(spec);
-    Master master(*mw.warehouse, spec);
     // Grants must not depend on buffer occupancy, which differs
     // between the engines by design.
     AdmissionOptions admission;
     admission.shed_on_full_buffer = false;
     admission.split_deadline_s = c.split_deadline_s;
-    master.setAdmission(admission);
-    c.arm(mw, master);
+
+    WorkerOptions wo;
+    wo.dedup_enabled = c.dedup;
+    if (!threaded) {
+        wo.buffer_capacity = 10000;
+    } else {
+        wo.num_extract_threads = c.extract_threads;
+        wo.num_transform_threads = 2;
+        wo.buffer_capacity = 32;
+        if (c.handback_after_stripes > 0) {
+            // Stall the pipeline with nothing popped: one tensor per
+            // stripe fills the 1-deep buffer, the lone transformer
+            // blocks on the next, the 1-deep queue holds a third, and
+            // the extractor blocks pushing the fourth — having passed
+            // that stripe's handback check, exactly like the sync run.
+            wo.num_transform_threads = 1;
+            wo.buffer_capacity = 1;
+            wo.stripe_queue_capacity = 1;
+        }
+    }
+    auto fleet = testing::oneTenantFleet(*mw.warehouse, spec, wo,
+                                         admission);
+    c.arm(mw, fleet->tenantMaster(0));
     std::optional<ScopedFault> fault;
     if (c.fault != nullptr)
         fault.emplace(c.fault, c.fault_spec);
 
-    WorkerOptions wo;
-    wo.dedup_enabled = c.dedup;
+    Worker &worker = fleet->workerAt(0);
     RunOutcome out;
     if (!threaded) {
-        wo.buffer_capacity = 10000;
-        Worker worker(master, *mw.warehouse, wo);
         for (bool more = true; more;) {
             if (c.handback_after_stripes > 0 && !worker.draining() &&
                 worker.stripePoolAllocated() +
@@ -284,20 +302,6 @@ runDiffCase(const DiffCase &c, bool threaded)
         out.collect(worker);
         return out;
     }
-    wo.num_extract_threads = c.extract_threads;
-    wo.num_transform_threads = 2;
-    wo.buffer_capacity = 32;
-    if (c.handback_after_stripes > 0) {
-        // Stall the pipeline with nothing popped: one tensor per
-        // stripe fills the 1-deep buffer, the lone transformer blocks
-        // on the next, the 1-deep queue holds a third, and the
-        // extractor blocks pushing the fourth — having passed that
-        // stripe's handback check, exactly like the sync run.
-        wo.num_transform_threads = 1;
-        wo.buffer_capacity = 1;
-        wo.stripe_queue_capacity = 1;
-    }
-    Worker worker(master, *mw.warehouse, wo);
     worker.start();
     if (c.handback_after_stripes > 0) {
         EXPECT_TRUE(eventually([&] {
@@ -485,13 +489,13 @@ TEST_F(DppParallelTest, ParallelWorkerMatchesSynchronousOutput)
 TEST_F(DppParallelTest, ByteCapRespectedUnderConcurrentProducers)
 {
     auto spec = makeSpec(mw_, {0, 1});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 10000;        // count cap out of the way
     wo.buffer_bytes_capacity = 64_KiB; // tight byte cap
     wo.num_extract_threads = 2;
     wo.num_transform_threads = 4; // many concurrent producers
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
     worker.start();
 
     // Slow consumer: observe the cap while producers race ahead.
@@ -515,12 +519,12 @@ TEST_F(DppParallelTest, ByteCapRespectedUnderConcurrentProducers)
 TEST_F(DppParallelTest, DrainedOnlyAfterAllThreadsQuiesce)
 {
     auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 4; // force continual backpressure
     wo.num_extract_threads = 2;
     wo.num_transform_threads = 2;
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
     EXPECT_FALSE(worker.drained()); // not started: nothing produced
     worker.start();
 
@@ -538,7 +542,7 @@ TEST_F(DppParallelTest, DrainedOnlyAfterAllThreadsQuiesce)
     // drained() implies: every split completed, every stripe
     // transformed and served, per-thread stats folded into totals.
     EXPECT_EQ(rows, 4096u);
-    EXPECT_TRUE(master.progress().done());
+    EXPECT_TRUE(fleet->tenantProgress(0).done());
     EXPECT_FALSE(worker.popTensor().has_value());
     const auto &m = worker.metrics();
     EXPECT_EQ(m.counter("worker.tensors"),
@@ -550,12 +554,12 @@ TEST_F(DppParallelTest, DrainedOnlyAfterAllThreadsQuiesce)
 TEST_F(DppParallelTest, ConcurrentPopTensorStress)
 {
     auto spec = makeSpec(mw_, {0, 1});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 8; // keep producers and consumers contending
     wo.num_extract_threads = 2;
     wo.num_transform_threads = 2;
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
     worker.start();
 
     // Many trainer threads hammer popTensor() against the producing
@@ -626,11 +630,11 @@ TEST_F(DppParallelTest, SingleKnobImpliesBothStages)
     // Setting only num_transform_threads still gives the pipeline an
     // extract thread (and vice versa).
     auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 10000;
     wo.num_transform_threads = 2;
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
     ASSERT_TRUE(worker.parallel());
     worker.start();
     uint64_t rows = 0;

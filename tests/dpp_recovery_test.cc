@@ -294,7 +294,7 @@ TEST_F(RecoveryTest, AttemptCountsAreNotDoubleCharged)
     first.setMaxSplitAttempts(2);
     first.enableJournal(*mw_.cluster, "dpp/attempts",
                         CheckpointPolicy{});
-    WorkerId w = first.registerWorker();
+    WorkerId w = 0;
     auto grant = first.acquireSplit(w, {});
     ASSERT_EQ(grant.status, GrantStatus::Granted);
     uint64_t split = grant.split->id;
@@ -312,7 +312,7 @@ TEST_F(RecoveryTest, AttemptCountsAreNotDoubleCharged)
     // The restored Master remembers the failed attempt: one more
     // failure exhausts the budget. A Master that double-charged (or
     // forgot) attempts would need zero (or two) further failures.
-    WorkerId w2 = successor.registerWorker();
+    WorkerId w2 = 0;
     for (;;) {
         auto g = successor.acquireSplit(w2, {});
         ASSERT_EQ(g.status, GrantStatus::Granted);

@@ -18,6 +18,7 @@
 #include "dpp/client.h"
 #include "dpp/session.h"
 #include "dpp/worker_model.h"
+#include "fleet_fixture.h"
 #include "test_fixtures.h"
 
 namespace dsi::dpp {
@@ -93,12 +94,12 @@ TEST_F(DppTest, PartitionFilterLimitsSplits)
 TEST_F(DppTest, SplitLifecycle)
 {
     Master master(*mw_.warehouse, makeSpec(mw_, {0}));
-    WorkerId w = master.registerWorker();
+    WorkerId w = 0;
     auto grant = master.acquireSplit(w, {});
     ASSERT_EQ(grant.status, GrantStatus::Granted);
     auto split = grant.split;
     ASSERT_TRUE(split.has_value());
-    EXPECT_EQ(grant.tenant, 0u); // a Master is single-tenant
+    EXPECT_EQ(grant.tenant, 0u); // only a fleet stamps tenants
     EXPECT_EQ(master.progress().inflight_splits, 1u);
     master.completeSplit(w, split->id);
     EXPECT_EQ(master.progress().completed_splits, 1u);
@@ -113,8 +114,8 @@ TEST_F(DppTest, SplitLifecycle)
 TEST_F(DppTest, FailedWorkerSplitsRequeue)
 {
     Master master(*mw_.warehouse, makeSpec(mw_, {0}));
-    WorkerId a = master.registerWorker();
-    WorkerId b = master.registerWorker();
+    WorkerId a = 0;
+    WorkerId b = 1;
     auto s1 = master.acquireSplit(a, {}).split;
     ASSERT_TRUE(s1.has_value());
     master.failWorker(a);
@@ -137,7 +138,7 @@ TEST_F(DppTest, FullBufferLoadShedsOnTheOnlyRequestPath)
     // went uncounted. acquireSplit(worker, load) is now the only
     // request path, and the load it carries actually sheds.
     Master master(*mw_.warehouse, makeSpec(mw_, {0}));
-    WorkerId w = master.registerWorker();
+    WorkerId w = 0;
     WorkerLoad full;
     full.buffer_full = true;
     EXPECT_EQ(master.acquireSplit(w, full).status,
@@ -151,7 +152,7 @@ TEST_F(DppTest, CheckpointRestoreResumesWithoutRedoingWork)
 {
     auto spec = makeSpec(mw_, {0, 1});
     Master master(*mw_.warehouse, spec);
-    WorkerId w = master.registerWorker();
+    WorkerId w = 0;
     for (int i = 0; i < 3; ++i) {
         auto s = master.acquireSplit(w, {}).split;
         master.completeSplit(w, s->id);
@@ -171,7 +172,7 @@ TEST_F(DppTest, CheckpointRestoreResumesWithoutRedoingWork)
     EXPECT_EQ(progress.pending_splits, 5u); // in-flight became pending
 
     // Draining the replica touches each remaining split exactly once.
-    WorkerId rw = replica.registerWorker();
+    WorkerId rw = 0;
     std::set<uint64_t> seen;
     while (auto s = replica.acquireSplit(rw, {}).split) {
         EXPECT_TRUE(seen.insert(s->id).second);
@@ -189,7 +190,7 @@ TEST_F(DppTest, MissingJournalFallsBackToColdStart)
     // The master is untouched and serves the full split set cold.
     EXPECT_EQ(master.epoch(), 0u);
     EXPECT_EQ(master.progress().pending_splits, master.totalSplits());
-    WorkerId w = master.registerWorker();
+    WorkerId w = 0;
     EXPECT_EQ(master.acquireSplit(w, {}).status, GrantStatus::Granted);
 }
 
@@ -203,7 +204,7 @@ TEST_F(DppTest, CorruptJournalFallsBackToColdStart)
                             FaultSpec{.probability = 1.0});
         Master master(*mw_.warehouse, spec);
         master.enableJournal(*mw_.cluster, "dpp/journal-corrupt");
-        WorkerId w = master.registerWorker();
+        WorkerId w = 0;
         auto s = master.acquireSplit(w, {}).split;
         master.completeSplit(w, s->id);
         master.checkpointNow();
@@ -233,12 +234,11 @@ TEST_F(DppTest, WorkerProducesProjectedTensors)
     auto spec = makeSpec(mw_, {0});
     std::set<FeatureId> raw_proj(spec.projection.begin(),
                                  spec.projection.end());
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 1024; // large enough to never backpressure
-    Worker worker(master, *mw_.warehouse, wo);
-    while (worker.pump()) {
-    }
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
+    testing::pumpUntilIdle(worker);
     ASSERT_GT(worker.buffered(), 0u);
     uint64_t rows = 0;
     while (auto tensor = worker.popTensor()) {
@@ -259,11 +259,12 @@ TEST_F(DppTest, WorkerProducesProjectedTensors)
 TEST_F(DppTest, ByteCapBoundsWorkerMemory)
 {
     auto spec = makeSpec(mw_, {0, 1});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 10000;       // count cap out of the way
     wo.buffer_bytes_capacity = 64_KiB; // tight byte cap
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    const Master &master = fleet->tenantMaster(0);
+    Worker &worker = fleet->workerAt(0);
     while (!worker.bufferFull())
         ASSERT_TRUE(worker.pump());
     // One stripe can overshoot the cap, but not by more than the
@@ -295,12 +296,11 @@ TEST_F(DppTest, InjectedBetaFeaturesAppearInTensors)
     beta_sparse.cardinality = 1000;
     spec.injected = {beta_dense, beta_sparse};
 
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 1024;
-    Worker worker(master, *mw_.warehouse, wo);
-    while (worker.pump()) {
-    }
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
+    testing::pumpUntilIdle(worker);
     uint64_t rows = 0, dense_present = 0, sparse_present = 0;
     while (auto tensor = worker.popTensor()) {
         rows += tensor->data.rows;
@@ -339,12 +339,11 @@ TEST_F(DppTest, InjectionIsDeterministicAcrossWorkers)
     spec.injected = {beta};
 
     auto run = [&]() {
-        Master master(*mw_.warehouse, spec);
         WorkerOptions wo;
         wo.buffer_capacity = 1024;
-        Worker worker(master, *mw_.warehouse, wo);
-        while (worker.pump()) {
-        }
+        auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+        Worker &worker = fleet->workerAt(0);
+        testing::pumpUntilIdle(worker);
         std::vector<int64_t> values;
         while (auto tensor = worker.popTensor()) {
             const auto *sp = tensor->data.findSparse(900003);
@@ -359,10 +358,11 @@ TEST_F(DppTest, InjectionIsDeterministicAcrossWorkers)
 TEST_F(DppTest, BufferBackpressureStopsPumping)
 {
     auto spec = makeSpec(mw_, {0, 1});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 2;
-    Worker worker(master, *mw_.warehouse, wo);
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    const Master &master = fleet->tenantMaster(0);
+    Worker &worker = fleet->workerAt(0);
     // Pump to the cap: with full buffer pump() returns true but does
     // not take more splits.
     while (!worker.bufferFull())
@@ -637,16 +637,18 @@ TEST_F(DppTest, ClientsSeeDisjointTensors)
 TEST_F(DppTest, ClientExhaustedAfterDrain)
 {
     auto spec = makeSpec(mw_, {0});
-    Master master(*mw_.warehouse, spec);
     WorkerOptions wo;
     wo.buffer_capacity = 1024;
-    Worker worker(master, *mw_.warehouse, wo);
-    while (worker.pump()) {
-    }
+    auto fleet = testing::oneTenantFleet(*mw_.warehouse, spec, wo);
+    Worker &worker = fleet->workerAt(0);
+    testing::pumpUntilIdle(worker);
     Client client(0, 1, {&worker});
     EXPECT_FALSE(client.exhausted()); // buffer still holds tensors
     while (client.next()) {
     }
+    // Every split was delivered, so the worker's next poll idles it
+    // out.
+    EXPECT_FALSE(worker.pump());
     EXPECT_TRUE(client.exhausted());
     EXPECT_GT(client.metrics().counter("client.tensors"), 0.0);
 }

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -416,6 +418,62 @@ TEST_F(FleetTest, DeadlineSweepRequeuesStalledSplit)
     EXPECT_GE(fleet.collectMetrics().counter("master.deadline_expired"),
               1.0);
     EXPECT_GE(result.deadline_expirations, 1u);
+}
+
+TEST_F(FleetTest, DeadWorkerIsRejected)
+{
+    // A worker the fleet declared dead that calls in again (a zombie
+    // still mid-RPC) is told so, rather than told to wait: Rejected
+    // makes it stop, Standby would keep it polling forever.
+    FleetOptions fo;
+    fo.initial_workers = 1;
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    fleet.addTenant(tenantSpec(mw_, {0, 1}, 1024));
+    ASSERT_TRUE(fleet.workerAt(0).pump()); // holds a split
+    WorkerId old_id = fleet.workerAt(0).id();
+    fleet.failWorkerAt(0);
+
+    EXPECT_EQ(fleet.acquireSplit(old_id, {}).status,
+              GrantStatus::Rejected);
+    EXPECT_EQ(fleet.collectMetrics().counter("master.stale_requests"),
+              1.0);
+    // The replacement is a different worker, and it is served.
+    EXPECT_EQ(fleet.acquireSplit(fleet.workerAt(0).id(), {}).status,
+              GrantStatus::Granted);
+}
+
+TEST_F(FleetTest, DeadlineRequeuedSplitNoLongerHoldsTheLease)
+{
+    // A worker that goes silent holding a split: the Master's deadline
+    // sweep requeues the split first, so by the time the worker's
+    // lease lapses it holds nothing and there is nothing to recover.
+    // The lease sweep must see the Master's record, not a stale copy.
+    FleetOptions fo;
+    fo.initial_workers = 1;
+    fo.lease_timeout = 1.0;               // injected clock
+    fo.admission.split_deadline_s = 0.05; // steady clock
+    // Threaded options, never started: tick() does not pump the
+    // worker, so it stays silent.
+    fo.worker.num_extract_threads = 1;
+    FleetScheduler fleet(*mw_.warehouse, fo);
+    double now = 0.0;
+    fleet.setClock([&now] { return now; });
+    TenantId t = fleet.addTenant(tenantSpec(mw_, {0}, 1024));
+
+    WorkerId silent = fleet.workerAt(0).id();
+    ASSERT_EQ(fleet.acquireSplit(silent, {}).status,
+              GrantStatus::Granted);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    now = 0.5; // the split's budget is spent; the lease is not
+    ASSERT_TRUE(fleet.tick());
+    EXPECT_EQ(fleet.collectMetrics().counter("master.deadline_expired"),
+              1.0);
+    EXPECT_EQ(fleet.tenantProgress(t).inflight_splits, 0u);
+
+    now = 2.0; // the lease has lapsed too
+    ASSERT_TRUE(fleet.tick());
+    EXPECT_EQ(fleet.metrics().counter("fleet.lease_expirations"), 0.0);
+    EXPECT_EQ(fleet.workerAt(0).id(), silent);
 }
 
 // ---------------------------------------------------------------------

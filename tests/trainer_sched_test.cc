@@ -147,6 +147,15 @@ TEST(StallProbe, MoreWorkersReduceStalls)
     EXPECT_GT(starved.stallFraction(), fed.stallFraction());
     EXPECT_GT(starved.tensors, 0u);
     EXPECT_EQ(fed.tensors, starved.tensors); // same dataset
+    // Pinned: 8 splits x 8 tensors. The lone worker misses the demand
+    // in every round; four workers meet it until the last, which
+    // drains the dataset and so is no stall.
+    EXPECT_EQ(starved.rounds, 8u);
+    EXPECT_EQ(starved.stalled_rounds, 8u);
+    EXPECT_EQ(starved.tensors, 64u);
+    EXPECT_EQ(fed.rounds, 6u);
+    EXPECT_EQ(fed.stalled_rounds, 0u);
+    EXPECT_EQ(fed.tensors, 64u);
 }
 
 TEST(Release, JobCountsAndPhases)
